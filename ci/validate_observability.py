@@ -23,13 +23,14 @@ artifacts of one `itdb serve` session instead:
     families;
   * the captured /events JSONL stream (cut off mid-flight, so spans need
     not balance; blank keepalive lines are allowed) contains evaluation
-    events including a governor_trip from the fuel-starved request, and
-    every governor_trip on the stream carries the `request_id` of the
-    request that tripped;
+    events including a governor_trip from the fuel-starved
+    materialisation, and every governor_trip on the stream carries the
+    `request_id` of the request whose read triggered it;
   * the /query JSON responses have the documented shape, the complete one
-    answered `complete`, and the fuel-starved one answered `interrupted`
-    **with a non-empty partial answer set** — the bug this repository's
-    serve mode exists to guard against is partial-result loss on trips;
+    answered `complete`, and the one served from the fuel-starved model
+    answered `interrupted` **with a non-empty partial answer set** — the
+    bug this repository's serve mode exists to guard against is
+    partial-result loss on trips;
   * optionally (four extra arguments), the /debug introspection bodies
     and the slow-query log: the flight snapshot's dumps and ring windows
     re-validate against the event schema, the per-route span profile
@@ -256,8 +257,9 @@ def validate_serve_events(path):
             if event not in SCHEMAS:
                 fail(f"{path}:{lineno}: unknown event {event!r}")
             check_event_fields(obj, event, f"{path}:{lineno}")
-            # Every serve-side evaluation runs for some request, so a
-            # trip without an id would be an unattributable incident.
+            # Every serve-side evaluation runs for some request (the
+            # read that materialised the model), so a trip without an id
+            # would be an unattributable incident.
             if event == "governor_trip" and "request_id" not in obj:
                 fail(f"{path}:{lineno}: governor_trip carries no request_id")
             counts[event] += 1
@@ -400,8 +402,7 @@ def validate_requests(path):
         fail(f"{path}: empty in-flight table (the fetch itself should "
              f"be registered)")
     for i, e in enumerate(table):
-        for field, ftype in (("id", str), ("route", str), ("age_us", int),
-                            ("fuel_spent", int)):
+        for field, ftype in (("id", str), ("route", str), ("age_us", int)):
             if not isinstance(e.get(field), ftype):
                 fail(f"{path}: in_flight[{i}].{field} should be "
                      f"{ftype.__name__}, got {e.get(field)!r}")
@@ -429,13 +430,6 @@ def validate_slow_log(path):
                 if not isinstance(obj.get(field), ftype):
                     fail(f"{path}:{lineno}: {field} should be "
                          f"{ftype.__name__}, got {obj.get(field)!r}")
-            gov = obj.get("governor")
-            if gov is not None:
-                for field in ("iterations", "derived", "held", "checks",
-                              "elapsed_ms"):
-                    if not isinstance(gov.get(field), int):
-                        fail(f"{path}:{lineno}: governor.{field} should "
-                             f"be int, got {gov.get(field)!r}")
             for i, s in enumerate(obj["profile"]):
                 for field, ftype in (("kind", str), ("label", str),
                                     ("count", int), ("total_us", int),

@@ -6,8 +6,9 @@
 //! ```
 //!
 //! `serve` keeps one workload (tuples + rules, the declarative subset of
-//! the shell's script format) resident and answers `POST /query` requests
-//! against it, each evaluation under its own resource governor. `GET
+//! the shell's script format) resident and answers every `POST /query`
+//! by lookup in a model computed once: at boot with `--wal`, otherwise on
+//! the first query, under the `--fuel`/`--timeout-ms` budget. `GET
 //! /healthz`, `GET /metrics` (Prometheus text), `GET /events` (live
 //! JSONL trace stream) and the `GET /debug/*` introspection endpoints
 //! ride along. Every request carries an `X-Itdb-Request-Id`; slow
@@ -30,10 +31,12 @@ usage: itdb serve --addr HOST:PORT [options] WORKLOAD
   --addr HOST:PORT  listen address, e.g. 127.0.0.1:7464 (required)
   --workers N       worker threads (default 8); /events streams run on
                     their own dedicated streamer threads
-  --fuel N          default derivation-fuel ceiling per /query request
-                    (overridable per request via the X-Itdb-Fuel header)
-  --timeout-ms N    default wall-clock deadline per /query request
-                    (overridable via the X-Itdb-Timeout-Ms header)
+  --fuel N          derivation-fuel budget of the one materialisation the
+                    first /query runs (not with --wal); a tripped model is
+                    served as its sound partial model, status
+                    `interrupted`, until restart
+  --timeout-ms N    wall-clock budget of that materialisation (not with
+                    --wal)
   --max-queued N    accepted connections held before answering 503 (default 64)
   --events-queue N  per-subscriber /events queue depth (default 1024)
   --queue-deadline-ms N
@@ -44,12 +47,10 @@ usage: itdb serve --addr HOST:PORT [options] WORKLOAD
   --keepalive-idle-ms N
                     idle keep-alive connections are closed after this
                     (default 5000)
-  --checkpoint DIR  persist service totals to DIR in the background and
-                    resume them on restart (survives SIGKILL)
   --wal DIR         enable streaming ingestion (POST /facts): facts are
                     made durable in a write-ahead log under DIR, applied
-                    to a resident incrementally-maintained model, and
-                    replayed from checkpoint + log on restart
+                    to a resident incrementally-maintained model built at
+                    boot, and replayed from checkpoint + log on restart
   --wal-fsync POLICY
                     WAL flush policy: `always` (default; every record is
                     durable before its 202) or `batch:N` (group commit,
@@ -116,12 +117,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
                     .next()
                     .ok_or_else(|| "--addr needs a HOST:PORT argument".to_string())?;
                 addr = Some(parse_addr(value)?);
-            }
-            "--checkpoint" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| "--checkpoint needs a directory argument".to_string())?;
-                config.checkpoint_dir = Some(std::path::PathBuf::from(value));
             }
             "--slow-log" => {
                 let value = it
@@ -205,7 +200,15 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
             }
         }
     }
+    let budgeted = config.defaults.fuel.is_some() || config.defaults.timeout.is_some();
     match (wal_dir, wal_fsync, dedup_window) {
+        (Some(_), _, _) if budgeted => {
+            return Err(
+                "--fuel/--timeout-ms need a server without --wal (they budget the \
+                 first query's materialisation; a WAL server builds its model at boot)"
+                    .to_string(),
+            )
+        }
         (Some(dir), fsync, window) => {
             let mut ingest = IngestConfig::new(dir);
             if let Some(policy) = fsync {
@@ -314,7 +317,6 @@ fn serve(args: ServeArgs) {
     };
     let rules = workload.program.clauses.len();
     let relations = workload.edb.len();
-    let checkpoint_dir = args.config.checkpoint_dir.clone();
     let ingest_config = args.config.ingest.clone();
     let server = match Server::bind(args.addr, workload, args.config) {
         Ok(s) => s,
@@ -327,9 +329,6 @@ fn serve(args: ServeArgs) {
         relations,
         server.local_addr()
     );
-    if let Some(dir) = &checkpoint_dir {
-        println!("durability: background checkpoints in {}", dir.display());
-    }
     if let Some(ic) = &ingest_config {
         println!(
             "ingestion: WAL in {} (fsync {})",
@@ -392,8 +391,6 @@ mod tests {
             "8",
             "--keepalive-idle-ms",
             "1250",
-            "--checkpoint",
-            "/tmp/itdb-ck",
             "--slow-query-ms",
             "250",
             "--slow-log",
@@ -412,10 +409,6 @@ mod tests {
         assert_eq!(p.config.queue_deadline, Duration::from_millis(750));
         assert_eq!(p.config.max_requests_per_conn, 8);
         assert_eq!(p.config.keepalive_idle, Duration::from_millis(1250));
-        assert_eq!(
-            p.config.checkpoint_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/itdb-ck"))
-        );
         assert_eq!(p.config.slow_query_ms, Some(250));
         assert_eq!(
             p.config.slow_log.as_deref(),
@@ -571,9 +564,32 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_needs_a_directory() {
-        let err = parse_serve_args(&strs(&["--addr", "127.0.0.1:0", "--checkpoint"])).unwrap_err();
-        assert!(err.contains("--checkpoint"), "{err}");
+    fn materialisation_budget_is_refused_with_a_wal() {
+        // Either budget flag, either order: --wal builds the model at boot
+        // under its own options, so the flags would be silently ignored.
+        for args in [
+            &["--addr", "127.0.0.1:0", "--wal", "d", "--fuel", "5", "w"][..],
+            &[
+                "--addr",
+                "127.0.0.1:0",
+                "--timeout-ms",
+                "50",
+                "--wal",
+                "d",
+                "w",
+            ][..],
+        ] {
+            let err = parse_serve_args(&strs(args)).unwrap_err();
+            assert!(err.contains("--fuel/--timeout-ms"), "{err}");
+            assert!(err.contains("--wal"), "{err}");
+        }
+        // Without a WAL they budget the first read's materialisation.
+        let p = parse_serve_args(&strs(&["--addr", "127.0.0.1:0", "--fuel", "5", "w"])).unwrap();
+        assert_eq!(p.config.defaults.fuel, Some(5));
+        // The durability flag for serve totals is gone.
+        let err = parse_serve_args(&strs(&["--addr", "127.0.0.1:0", "--checkpoint", "d", "w"]))
+            .unwrap_err();
+        assert!(err.contains("unknown flag `--checkpoint`"), "{err}");
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! Long-lived resident models: evaluate once, then *maintain* under
 //! streaming EDB ingestion — inserts **and retractions**.
 //!
-//! A [`ResidentModel`] holds a converged evaluation of a workload and
-//! applies batches of extensional operations **incrementally**: newly
-//! asserted EDB tuples seed the semi-naive delta frontier and propagation
-//! resumes from the affected strata; retracted EDB tuples trigger a
-//! DRed-style delete/re-derive pass. Reads stay closed-form lookups
-//! against the maintained relations.
+//! A [`ResidentModel`] holds one governed evaluation of a workload and
+//! answers every read as a closed-form lookup ([`ResidentModel::answer`]).
+//! When that evaluation converged, the model also applies batches of
+//! extensional operations **incrementally**: newly asserted EDB tuples
+//! seed the semi-naive delta frontier and propagation resumes from the
+//! affected strata; retracted EDB tuples trigger a DRed-style
+//! delete/re-derive pass. A model whose evaluation diverged or tripped
+//! its governor holds the sound partial model, reports that status with
+//! every answer, and refuses writes ([`ApplyError::Incomplete`]): DRed
+//! over a partial model is unsound.
 //!
 //! ## Incremental maintenance invariants
 //!
@@ -58,6 +62,10 @@
 //! 7. **Divergence stays detected.** The same free-extension-key grace
 //!    rule as the engine guards each incremental fixpoint; a batch that
 //!    makes the workload diverge is rolled back rather than looping.
+//! 8. **Only complete models are maintained.** Every batch against a
+//!    model whose own evaluation diverged or tripped is refused with
+//!    [`ApplyError::Incomplete`] before anything is touched; its status
+//!    stays fixed for the model's lifetime.
 //!
 //! The `*_full_reeval` twins recompute the model from scratch; ×64
 //! proptests pin the equivalence of the incremental and oracle paths on
@@ -68,11 +76,16 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::analyze::{analyze, ProgramInfo};
-use crate::ast::Program;
+use crate::ast::{Atom, Program};
 use crate::checkpoint::{get_relations, get_tuple, hash_program, put_relations, put_tuple};
 use crate::db::Database;
-use crate::engine::{eval_clause, evaluate_with, Derivation, EvalOptions, EvalOutcome, Pending};
+use crate::engine::{
+    eval_clause, evaluate_with, Derivation, EvalOptions, EvalOutcome, EvalStats, Evaluation,
+    Pending,
+};
 use crate::normalize::{normalize_program, NormClause};
+use crate::query::query;
+use crate::service::{QueryResponse, QueryStatus};
 use itdb_lrp::{Error, GeneralizedRelation, GeneralizedTuple, Lrp, Result, Schema};
 use itdb_store::{ByteReader, ByteWriter, Section};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -124,6 +137,10 @@ pub enum ApplyError {
     /// exact pre-batch state and stays fully serviceable. Retrying the
     /// identical batch under the same limits will fail identically.
     RolledBack(Error),
+    /// The model's own evaluation did not converge (it holds a sound
+    /// partial model with this status), so it cannot be maintained. The
+    /// model was not touched.
+    Incomplete(QueryStatus),
 }
 
 impl ApplyError {
@@ -131,6 +148,7 @@ impl ApplyError {
     pub fn into_error(self) -> Error {
         match self {
             ApplyError::Invalid(e) | ApplyError::RolledBack(e) => e,
+            e @ ApplyError::Incomplete(_) => Error::Eval(e.to_string()),
         }
     }
 
@@ -145,6 +163,10 @@ impl fmt::Display for ApplyError {
         match self {
             ApplyError::Invalid(e) => write!(f, "invalid batch: {e}"),
             ApplyError::RolledBack(e) => write!(f, "batch rolled back: {e}"),
+            ApplyError::Incomplete(status) => write!(
+                f,
+                "model is {status}, not complete: a partial model cannot be maintained"
+            ),
         }
     }
 }
@@ -241,9 +263,9 @@ fn record_undo(
     undos.insert(pred.to_string(), undo);
 }
 
-/// A converged evaluation kept resident and maintained incrementally
-/// under fact ingestion and retraction. See the module docs for the
-/// invariants.
+/// A governed evaluation kept resident: answered by lookup and, when it
+/// converged, maintained incrementally under fact ingestion and
+/// retraction. See the module docs for the invariants.
 #[derive(Debug, Clone)]
 pub struct ResidentModel {
     program: Program,
@@ -254,6 +276,9 @@ pub struct ResidentModel {
     idb: BTreeMap<String, GeneralizedRelation>,
     empty: BTreeMap<String, GeneralizedRelation>,
     opts: EvalOptions,
+    /// How the evaluation behind `idb` ended; anything but `Complete`
+    /// means `idb` is a sound partial model and writes are refused.
+    status: QueryStatus,
     stats: ResidentStats,
     /// Insertion-ordered derivation log (every source of a derivation
     /// precedes it): the provenance cone DRed consults. Complete only
@@ -266,18 +291,26 @@ pub struct ResidentModel {
 }
 
 impl ResidentModel {
-    /// Evaluates the workload once and keeps the converged model
-    /// resident. A workload that diverges or trips its governor cannot
-    /// be maintained incrementally and is refused.
+    /// Evaluates the workload once, under the governor `opts` describe,
+    /// and keeps the result resident. A workload that diverges or trips
+    /// its governor still yields a model: it holds the sound partial
+    /// model, reports the outcome through [`Self::status`], and refuses
+    /// writes.
     pub fn new(program: Program, edb: Database, opts: EvalOptions) -> Result<Self> {
         let eval = evaluate_with(&program, &edb, &opts)?;
-        if !matches!(eval.outcome, EvalOutcome::Converged { .. }) {
-            return Err(Error::Eval(format!(
-                "resident model requires a convergent workload, got: {:?}",
-                eval.outcome
-            )));
-        }
-        Self::assemble(program, edb, eval.idb, opts, eval.derivations, true)
+        Self::from_evaluation(program, edb, opts, eval)
+    }
+
+    /// [`Self::new`] over an evaluation the caller already ran with
+    /// `opts` (so it can read the evaluation's statistics first).
+    pub(crate) fn from_evaluation(
+        program: Program,
+        edb: Database,
+        opts: EvalOptions,
+        eval: Evaluation,
+    ) -> Result<Self> {
+        let status = QueryStatus::from(&eval.outcome);
+        Self::assemble(program, edb, eval.idb, opts, eval.derivations, true, status)
     }
 
     fn assemble(
@@ -287,6 +320,7 @@ impl ResidentModel {
         opts: EvalOptions,
         derivations: Vec<Derivation>,
         provenance_flag: bool,
+        status: QueryStatus,
     ) -> Result<Self> {
         let info = analyze(&program)?;
         let all_clauses = normalize_program(&program)?;
@@ -307,9 +341,41 @@ impl ResidentModel {
             idb,
             empty,
             opts,
+            status,
             stats: ResidentStats::default(),
             derivations,
             provenance_complete,
+        })
+    }
+
+    /// How the evaluation behind this model ended. Only a `Complete`
+    /// model accepts [`Self::apply_ops`].
+    pub fn status(&self) -> &QueryStatus {
+        &self.status
+    }
+
+    /// Answers one query pattern by lookup: the pattern's relation (IDB
+    /// first, then EDB) is queried with this model's residue budget, and
+    /// the answers carry the model's status. No evaluation happens here,
+    /// so the response's `stats` are all zero.
+    pub fn answer(&self, atom: &Atom) -> Result<QueryResponse> {
+        let rel = self.relation(&atom.pred).ok_or_else(|| {
+            Error::Eval(format!(
+                "unknown predicate `{}` (neither derived nor extensional)",
+                atom.pred
+            ))
+        })?;
+        let answers = query(rel, atom, self.opts.residue_budget)?
+            .tuples()
+            .iter()
+            .map(|t| t.to_string())
+            .collect();
+        Ok(QueryResponse {
+            pred: atom.pred.clone(),
+            status: self.status.clone(),
+            answers,
+            stats: EvalStats::default(),
+            request_id: None,
         })
     }
 
@@ -476,6 +542,9 @@ impl ResidentModel {
         ops: &[Op],
         force_full: bool,
     ) -> std::result::Result<ApplyOutcome, ApplyError> {
+        if self.status != QueryStatus::Complete {
+            return Err(ApplyError::Incomplete(self.status.clone()));
+        }
         // Phase 1: validate everything up front — an invalid batch must
         // leave the model untouched.
         let mut batch_created: BTreeMap<String, Schema> = BTreeMap::new();
@@ -1292,7 +1361,17 @@ impl ResidentModel {
                 (ds, flag)
             }
         };
-        let model = Self::assemble(program, edb, idb, opts, derivations, prov_flag)?;
+        // Only complete models are maintained, hence only they are
+        // snapshotted: a restored model is complete.
+        let model = Self::assemble(
+            program,
+            edb,
+            idb,
+            opts,
+            derivations,
+            prov_flag,
+            QueryStatus::Complete,
+        )?;
         Ok((model, applied_seq))
     }
 }
@@ -1761,5 +1840,66 @@ mod tests {
         let mut m = ResidentModel::new(program, edb, prov_opts()).unwrap();
         let out = m.apply_ops(&[retract_op("extra", "(5n+1; x)")]).unwrap();
         assert_eq!((out.retracted, out.retract_noops), (0, 1));
+    }
+
+    // ---- reads ----
+
+    /// A workload that does not converge still materialises: the model
+    /// holds the sound partial model, every answer reports the status,
+    /// and writes are refused without touching anything.
+    #[test]
+    fn partial_models_answer_with_their_status_and_refuse_writes() {
+        let program = parse_program("p[t] <- seed[t].\np[t + 1] <- p[t].").unwrap();
+        let mut edb = Database::new();
+        edb.insert_parsed("seed", "(n) : T1 = 0").unwrap();
+        let p = crate::parser::parse_atom("p[t]").unwrap();
+
+        let diverged =
+            ResidentModel::new(program.clone(), edb.clone(), EvalOptions::default()).unwrap();
+        assert_eq!(diverged.status(), &QueryStatus::Diverged);
+        assert_eq!(diverged.answer(&p).unwrap().status, QueryStatus::Diverged);
+
+        let starved = EvalOptions {
+            max_derived_tuples: Some(3),
+            ..EvalOptions::default()
+        };
+        let mut tripped = ResidentModel::new(program, edb, starved).unwrap();
+        let resp = tripped.answer(&p).unwrap();
+        assert!(matches!(resp.status, QueryStatus::Interrupted(_)));
+        assert!(!resp.answers.is_empty(), "sound partial model is answered");
+
+        let idb_before = tripped.idb().clone();
+        let err = tripped
+            .apply_ops(&[assert_op("seed", "(n) : T1 = 7")])
+            .unwrap_err();
+        assert!(matches!(err, ApplyError::Incomplete(_)), "{err}");
+        assert!(!err.rolled_back(), "refused up front, nothing to roll back");
+        assert_eq!(tripped.stats(), ResidentStats::default());
+        for (pred, rel) in tripped.idb() {
+            assert_eq!(rel.tuples(), idb_before[pred].tuples(), "{pred} untouched");
+        }
+    }
+
+    /// `answer` queries with the model's own residue budget, not a fresh
+    /// `EvalOptions::default()`: projecting out a coprime-period partner
+    /// needs a residue split that a budget of 8 cannot afford.
+    #[test]
+    fn answer_uses_the_models_residue_budget() {
+        let mut edb = Database::new();
+        edb.insert_parsed("pair", "(97n, 101n) : T1 < T2 + 50")
+            .unwrap();
+        let atom = crate::parser::parse_atom("pair[t, 202]").unwrap();
+        let roomy =
+            ResidentModel::new(Program::default(), edb.clone(), EvalOptions::default()).unwrap();
+        assert!(roomy.answer(&atom).is_ok());
+        let tight = EvalOptions {
+            residue_budget: 8,
+            ..EvalOptions::default()
+        };
+        let tight = ResidentModel::new(Program::default(), edb, tight).unwrap();
+        match tight.answer(&atom) {
+            Err(Error::ResidueBudget { budget }) => assert_eq!(budget, 8),
+            other => panic!("expected the model's budget to bind, got {other:?}"),
+        }
     }
 }

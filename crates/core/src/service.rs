@@ -1,5 +1,5 @@
-//! Shared serving layer: a loaded program + EDB evaluated per request
-//! under per-request resource governors.
+//! Shared serving layer: a loaded program + EDB, materialised once and
+//! answered by lookup.
 //!
 //! This is the model `itdb-serve` (and anything else that wants to answer
 //! many queries against one workload) builds on. A [`Workload`] is parsed
@@ -12,12 +12,14 @@
 //! rule problems[t1 + 2, t2 + 2](C) <- course[t1, t2](C).
 //! ```
 //!
-//! Each [`Service::run_query`] call evaluates the program bottom-up under
-//! its **own** [`Governor`] (fuel/deadline from the request, falling back
-//! to server defaults) and answers the query pattern against the computed
-//! model. Per-request isolation is exact: a trip in one request is
-//! invisible to every other, and with equal budgets the same query always
-//! produces byte-identical answers, concurrent or not.
+//! [`Service::model`] evaluates the program bottom-up **once**, on its
+//! first call, under one governor built from the server defaults, and
+//! keeps the result as a [`ResidentModel`]; every read is then a
+//! closed-form lookup ([`ResidentModel::answer`]) that reports how that
+//! one evaluation ended. [`Service::run_query`] is the oracle twin: it
+//! re-evaluates the program per call under its **own** governor (fuel and
+//! deadline from the request, falling back to the same defaults), so with
+//! equal budgets both paths produce byte-identical answers.
 //!
 //! ## Statistics across a worker pool
 //!
@@ -39,14 +41,13 @@
 
 use crate::ast::Program;
 use crate::db::Database;
-use crate::engine::{evaluate_governed, EvalOptions, EvalOutcome, EvalStats};
+use crate::engine::{evaluate_with, EvalOptions, EvalOutcome, EvalStats};
 use crate::parser::{parse_atom, parse_clause};
 use crate::query::query;
-use itdb_lrp::{
-    parser as lrp_parser, Error, GeneralizedRelation, Governor, Result, Schema, TripReason,
-};
+use crate::resident::ResidentModel;
+use itdb_lrp::{parser as lrp_parser, Error, GeneralizedRelation, Result, Schema, TripReason};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
 /// A parsed serving workload: the deductive program and its extensional
@@ -196,13 +197,14 @@ pub fn parse_workload_typed(text: &str) -> std::result::Result<Workload, Workloa
     Ok(Workload { program, edb })
 }
 
-/// Server-side default resource ceilings, applied when a request does not
-/// bring its own.
+/// Server-side resource ceilings: the budget of the one materialisation
+/// behind [`Service::model`], and of any [`Service::run_query`] call that
+/// brings none of its own.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceDefaults {
-    /// Default derivation fuel per request (`None` = unlimited).
+    /// Derivation fuel (`None` = unlimited).
     pub fuel: Option<u64>,
-    /// Default wall-clock deadline per request (`None` = unlimited).
+    /// Wall-clock deadline (`None` = unlimited).
     pub timeout: Option<Duration>,
 }
 
@@ -220,7 +222,7 @@ pub struct QueryRequest {
     pub request_id: Option<String>,
 }
 
-/// How a served query's evaluation ended.
+/// How the evaluation behind a served answer ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryStatus {
     /// The least model was computed exactly.
@@ -229,9 +231,31 @@ pub enum QueryStatus {
     /// more grace iterations); the answers below are over a sound partial
     /// model.
     Diverged,
-    /// The per-request governor tripped; the answers below are over a
+    /// The evaluation's governor tripped; the answers below are over a
     /// sound partial model.
     Interrupted(TripReason),
+}
+
+impl From<&EvalOutcome> for QueryStatus {
+    fn from(outcome: &EvalOutcome) -> Self {
+        match outcome {
+            EvalOutcome::Converged { .. } => QueryStatus::Complete,
+            EvalOutcome::DivergedAfterFeSafety { .. } => QueryStatus::Diverged,
+            EvalOutcome::Interrupted(i) => QueryStatus::Interrupted(i.reason.clone()),
+        }
+    }
+}
+
+impl fmt::Display for QueryStatus {
+    /// The status word of the `/query` JSON: `complete`, `diverged`, or
+    /// `interrupted`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            QueryStatus::Complete => "complete",
+            QueryStatus::Diverged => "diverged",
+            QueryStatus::Interrupted(_) => "interrupted",
+        })
+    }
 }
 
 /// The answer to one served query.
@@ -259,12 +283,7 @@ impl QueryResponse {
         let mut out = String::with_capacity(256);
         out.push_str("{\"predicate\":\"");
         itdb_trace::json::escape_into(&self.pred, &mut out);
-        let status = match &self.status {
-            QueryStatus::Complete => "complete",
-            QueryStatus::Diverged => "diverged",
-            QueryStatus::Interrupted(_) => "interrupted",
-        };
-        let _ = write!(out, "\",\"status\":\"{status}\"");
+        let _ = write!(out, "\",\"status\":\"{}\"", self.status);
         if let QueryStatus::Interrupted(reason) = &self.status {
             out.push_str(",\"trip\":\"");
             itdb_trace::json::escape_into(&reason.to_string(), &mut out);
@@ -297,11 +316,21 @@ impl QueryResponse {
 pub struct ServiceTotals {
     /// Queries answered (any status).
     pub queries: u64,
-    /// Queries whose evaluation was interrupted by the governor.
+    /// Queries answered with status `interrupted`.
     pub interrupted: u64,
-    /// Folded per-request evaluation statistics. `strata` stays empty —
-    /// per-stratum timing is a per-evaluation notion, not a fleet one.
+    /// Folded evaluation statistics: the one materialisation plus every
+    /// [`Service::run_query`] call. `strata` stays empty — per-stratum
+    /// timing is a per-evaluation notion, not a fleet one.
     pub stats: EvalStats,
+}
+
+impl ServiceTotals {
+    fn count(&mut self, status: &QueryStatus) {
+        self.queries += 1;
+        if matches!(status, QueryStatus::Interrupted(_)) {
+            self.interrupted += 1;
+        }
+    }
 }
 
 /// A workload plus the machinery to answer queries against it repeatedly,
@@ -310,15 +339,20 @@ pub struct Service {
     workload: Workload,
     defaults: ServiceDefaults,
     totals: Mutex<ServiceTotals>,
+    /// The workload's model, materialised by the first [`Self::model`]
+    /// call (or the error that materialisation hit).
+    model: OnceLock<Result<ResidentModel>>,
 }
 
 impl Service {
-    /// Wraps a workload with serving defaults.
+    /// Wraps a workload with serving defaults. Evaluates nothing: the
+    /// model is materialised by the first read.
     pub fn new(workload: Workload, defaults: ServiceDefaults) -> Self {
         Service {
             workload,
             defaults,
             totals: Mutex::new(ServiceTotals::default()),
+            model: OnceLock::new(),
         }
     }
 
@@ -340,41 +374,69 @@ impl Service {
         self.totals.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Answers one query: evaluate the program under a fresh per-request
-    /// governor, then run the pattern against the computed (or partial)
-    /// model. Extensional predicates are served straight from the EDB.
-    pub fn run_query(&self, req: &QueryRequest) -> Result<QueryResponse> {
-        self.run_query_observed(req, |_| {})
+    /// The evaluation options for the given budgets, each falling back to
+    /// the server default.
+    fn options(&self, fuel: Option<u64>, timeout: Option<Duration>) -> EvalOptions {
+        EvalOptions {
+            max_derived_tuples: fuel.or(self.defaults.fuel),
+            timeout: timeout.or(self.defaults.timeout),
+            ..EvalOptions::default()
+        }
     }
 
-    /// [`Self::run_query`], additionally handing the per-request
-    /// [`Governor`] to `observe` before evaluation starts. The serve
-    /// layer uses this to publish the governor in its in-flight request
-    /// table — `GovernorStats` is all atomics, so `/debug/requests` can
-    /// read fuel spent from another thread while the evaluation runs.
+    /// The workload's model. The first call evaluates the program once,
+    /// under the server defaults (the same options [`Self::run_query`]
+    /// uses for a request without its own budget), folds the evaluation's
+    /// statistics into the totals, and keeps the result; concurrent first
+    /// callers wait for it, and every later call is a lock-free read. The
+    /// `bool` is true for the one call that materialised the model.
+    ///
+    /// `request_id` becomes the trace context of the materialisation, so
+    /// its events carry the id of the read that triggered it.
+    pub fn model(&self, request_id: Option<&str>) -> Result<(&ResidentModel, bool)> {
+        let mut built = false;
+        let model = self.model.get_or_init(|| {
+            built = true;
+            let _ctx = request_id.map(itdb_trace::context::set_request_id);
+            let opts = self.options(None, None);
+            let eval = evaluate_with(&self.workload.program, &self.workload.edb, &opts)?;
+            self.lock_totals().stats.absorb(&eval.stats);
+            ResidentModel::from_evaluation(
+                self.workload.program.clone(),
+                self.workload.edb.clone(),
+                opts,
+                eval,
+            )
+        });
+        match model {
+            Ok(m) => Ok((m, built)),
+            Err(e) => Err(e.clone()),
+        }
+    }
+
+    /// Counts one answered read in the totals.
+    pub fn count_answer(&self, status: &QueryStatus) {
+        self.lock_totals().count(status);
+    }
+
+    /// Answers one query by per-request evaluation — the oracle twin of
+    /// [`Self::model`] plus [`ResidentModel::answer`]: evaluate the
+    /// program under a fresh governor, then run the pattern against the
+    /// computed (or partial) model. Extensional predicates are served
+    /// straight from the EDB.
     ///
     /// If the request carries an id, it is installed as the thread's
     /// trace context for the duration, so every event the evaluation
     /// emits — including events folded back from parallel workers —
     /// carries the id.
-    pub fn run_query_observed(
-        &self,
-        req: &QueryRequest,
-        observe: impl FnOnce(&Arc<Governor>),
-    ) -> Result<QueryResponse> {
+    pub fn run_query(&self, req: &QueryRequest) -> Result<QueryResponse> {
         let _ctx = req
             .request_id
             .as_deref()
             .map(itdb_trace::context::set_request_id);
         let atom = parse_atom(&req.pattern)?;
-        let opts = EvalOptions {
-            max_derived_tuples: req.fuel.or(self.defaults.fuel),
-            timeout: req.timeout.or(self.defaults.timeout),
-            ..EvalOptions::default()
-        };
-        let governor = Governor::new(opts.governor_config());
-        observe(&governor);
-        let eval = evaluate_governed(&self.workload.program, &self.workload.edb, &opts, &governor)?;
+        let opts = self.options(req.fuel, req.timeout);
+        let eval = evaluate_with(&self.workload.program, &self.workload.edb, &opts)?;
         let rel = match eval.relation(&atom.pred) {
             Some(r) => r,
             None => self.workload.edb.get(&atom.pred).ok_or_else(|| {
@@ -386,18 +448,11 @@ impl Service {
         };
         let answers_rel = query(rel, &atom, opts.residue_budget)?;
         let answers: Vec<String> = answers_rel.tuples().iter().map(|t| t.to_string()).collect();
-        let status = match &eval.outcome {
-            EvalOutcome::Converged { .. } => QueryStatus::Complete,
-            EvalOutcome::DivergedAfterFeSafety { .. } => QueryStatus::Diverged,
-            EvalOutcome::Interrupted(i) => QueryStatus::Interrupted(i.reason.clone()),
-        };
+        let status = QueryStatus::from(&eval.outcome);
         // The explicit cross-thread fold — see the module docs.
         {
             let mut totals = self.lock_totals();
-            totals.queries += 1;
-            if matches!(status, QueryStatus::Interrupted(_)) {
-                totals.interrupted += 1;
-            }
+            totals.count(&status);
             totals.stats.absorb(&eval.stats);
         }
         Ok(QueryResponse {
@@ -412,13 +467,6 @@ impl Service {
     /// A snapshot of the folded aggregate counters.
     pub fn totals(&self) -> ServiceTotals {
         self.lock_totals().clone()
-    }
-
-    /// Replaces the aggregate counters wholesale — the restore half of a
-    /// serve-layer checkpoint (counters persisted before a crash carry on
-    /// instead of restarting from zero).
-    pub fn restore_totals(&self, totals: ServiceTotals) {
-        *self.lock_totals() = totals;
     }
 }
 
@@ -546,23 +594,51 @@ mod tests {
         );
     }
 
-    /// `run_query_observed` publishes the per-request governor before
-    /// evaluation; its stats stay readable (all atomics) from the
-    /// observer's copy while and after the query runs.
+    /// The lookup path answers byte-identically to its per-request
+    /// oracle, materialises exactly once (and only on the first read),
+    /// and folds that one evaluation into the totals.
     #[test]
-    fn observed_governor_reports_fuel_spent() {
-        let s = service(DIVERGING);
-        let mut observed = None;
-        let resp = s
-            .run_query_observed(&req("p[t]", Some(5)), |g| observed = Some(Arc::clone(g)))
-            .unwrap();
-        let governor = observed.expect("observer ran");
-        assert!(matches!(resp.status, QueryStatus::Interrupted(_)));
-        assert!(
-            governor.stats().derived >= 5,
-            "fuel spent visible cross-thread (saw {})",
-            governor.stats().derived
+    fn model_is_materialised_once_and_matches_run_query() {
+        let s = service(WORKLOAD);
+        assert_eq!(s.totals().stats.tuples_derived, 0, "new evaluates nothing");
+        let (model, built) = s.model(None).unwrap();
+        assert!(built, "the first read materialises");
+        let derived = s.totals().stats.tuples_derived;
+        assert!(derived > 0);
+        for pattern in ["problems[t, t + 2](database)", "course[t1, t2](C)"] {
+            let looked_up = model.answer(&parse_atom(pattern).unwrap()).unwrap();
+            let evaluated = s.run_query(&req(pattern, None)).unwrap();
+            let prefix = |json: &str| json.split(",\"stats\":").next().unwrap().to_string();
+            assert_eq!(prefix(&looked_up.to_json()), prefix(&evaluated.to_json()));
+        }
+        let (_, built) = s.model(None).unwrap();
+        assert!(!built, "later reads reuse the model");
+        let oracle_runs = 2;
+        assert_eq!(s.totals().stats.tuples_derived, derived * (1 + oracle_runs));
+    }
+
+    /// The server defaults budget the one materialisation, and its
+    /// status sticks to every answer.
+    #[test]
+    fn default_budget_governs_the_materialisation() {
+        let starved = Service::new(
+            parse_workload(DIVERGING).unwrap(),
+            ServiceDefaults {
+                fuel: Some(3),
+                timeout: None,
+            },
         );
+        let p = parse_atom("p[t]").unwrap();
+        for _ in 0..2 {
+            let resp = starved.model(None).unwrap().0.answer(&p).unwrap();
+            assert!(matches!(resp.status, QueryStatus::Interrupted(_)));
+            assert!(!resp.answers.is_empty());
+        }
+        let fed = service(DIVERGING);
+        assert_eq!(fed.model(None).unwrap().0.status(), &QueryStatus::Diverged);
+        assert!(service("rule p[t] <- ghost[t], !p[t].\n")
+            .model(None)
+            .is_err());
     }
 
     #[test]
@@ -603,9 +679,6 @@ mod tests {
         let after = s.totals();
         assert_eq!(after.queries, 2);
         assert!(after.stats.tuples_derived > before.stats.tuples_derived);
-        // restore_totals also works through the poison.
-        s.restore_totals(ServiceTotals::default());
-        assert_eq!(s.totals().queries, 0);
     }
 
     /// The tentpole regression: N pooled workers answer queries; the

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the serve runtime (feature `chaos`,
 //! test/CI only — never compiled into a default build).
 //!
-//! A [`ChaosConfig`] describes a seeded schedule of faults; [`Chaos`]
+//! A [`ChaosConfig`] describes a schedule of faults; [`Chaos`]
 //! executes it against a live server:
 //!
 //! - **worker panics** — every `panic_every`-th request panics inside the
@@ -9,52 +9,40 @@
 //!   `500`);
 //! - **worker deaths** — every `kill_every`-th request answers `500` and
 //!   then panics *outside* the catch region, killing the worker thread so
-//!   the supervisor must respawn it;
-//! - **torn checkpoint writes** — every `torn_every`-th background
-//!   checkpoint write is damaged through `itdb-store`'s fault hooks (the
-//!   recovery path must fall back to the previous good generation).
+//!   the supervisor must respawn it.
 //!
-//! The schedule is purely counter- and seed-driven: the same config
+//! The schedule is purely counter-driven: the same config
 //! against the same request sequence injects the same faults, which is
 //! what lets the chaos soak assert exact invariants instead of "it
 //! probably survived".
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use itdb_store::PreWriteHook;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The seeded fault schedule.
+/// The fault schedule.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosConfig {
-    /// Seed for the size/offset stream of injected store faults.
-    pub seed: u64,
     /// Panic inside the handler on every Nth request (1-based; `None`
     /// disables).
     pub panic_every: Option<u64>,
     /// Kill the worker thread on every Nth request (after answering the
     /// request with a 500, so no accepted request loses its response).
     pub kill_every: Option<u64>,
-    /// Damage every Nth background checkpoint write (1-based over the
-    /// writer's write index).
-    pub torn_every: Option<u64>,
 }
 
 impl ChaosConfig {
     /// Reads the schedule from `ITDB_CHAOS_*` environment variables
-    /// (`SEED`, `PANIC_EVERY`, `KILL_EVERY`, `TORN_EVERY`). Returns `None`
-    /// when no fault is enabled.
+    /// (`PANIC_EVERY`, `KILL_EVERY`). Returns `None` when no fault is
+    /// enabled.
     pub fn from_env() -> Option<ChaosConfig> {
         let get =
             |name: &str| -> Option<u64> { std::env::var(name).ok().and_then(|v| v.parse().ok()) };
         let cfg = ChaosConfig {
-            seed: get("ITDB_CHAOS_SEED").unwrap_or(0),
             panic_every: get("ITDB_CHAOS_PANIC_EVERY").filter(|&n| n > 0),
             kill_every: get("ITDB_CHAOS_KILL_EVERY").filter(|&n| n > 0),
-            torn_every: get("ITDB_CHAOS_TORN_EVERY").filter(|&n| n > 0),
         };
-        (cfg.panic_every.is_some() || cfg.kill_every.is_some() || cfg.torn_every.is_some())
-            .then_some(cfg)
+        (cfg.panic_every.is_some() || cfg.kill_every.is_some()).then_some(cfg)
     }
 }
 
@@ -102,41 +90,6 @@ impl Chaos {
     pub fn requests(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
     }
-
-    /// A hook for the background checkpoint writer: arms a seeded torn- or
-    /// short-write fault on every `torn_every`-th write. Runs on the
-    /// writer thread, which is exactly where the store's thread-local
-    /// fault plan must be armed.
-    pub fn pre_write_hook(config: &ChaosConfig) -> Option<PreWriteHook> {
-        let every = config.torn_every?;
-        let seed = config.seed;
-        Some(Box::new(move |write_index| {
-            // 1-based like the request schedule.
-            if !(write_index + 1).is_multiple_of(every) {
-                return;
-            }
-            let r = xorshift64(seed ^ (write_index + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let kind = if r.is_multiple_of(2) {
-                itdb_store::fault::FaultKind::TornWrite {
-                    keep: (r >> 1) as usize % 64,
-                }
-            } else {
-                itdb_store::fault::FaultKind::ShortWrite {
-                    drop: 1 + (r >> 1) as usize % 32,
-                }
-            };
-            itdb_store::fault::FaultPlan { kind }.arm();
-        }))
-    }
-}
-
-/// The classic xorshift64 step — deterministic, dependency-free.
-fn xorshift64(mut x: u64) -> u64 {
-    x = x.max(1);
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    x
 }
 
 #[cfg(test)]
@@ -147,10 +100,8 @@ mod tests {
     #[test]
     fn schedule_is_deterministic_and_kill_wins_ties() {
         let chaos = Chaos::new(ChaosConfig {
-            seed: 7,
             panic_every: Some(3),
             kill_every: Some(6),
-            torn_every: Option::None, // qualified: ChaosAction::None is glob-imported below
         });
         let actions: Vec<ChaosAction> = (0..12).map(|_| chaos.on_request()).collect();
         use ChaosAction::*;
@@ -170,24 +121,6 @@ mod tests {
                 None,
                 KillWorker,
             ]
-        );
-    }
-
-    #[test]
-    fn pre_write_hook_arms_only_on_schedule() {
-        let cfg = ChaosConfig {
-            seed: 42,
-            torn_every: Some(2),
-            ..ChaosConfig::default()
-        };
-        let hook = Chaos::pre_write_hook(&cfg).unwrap();
-        hook(0); // write 1: not a multiple of 2
-        assert!(itdb_store::fault::take_armed().is_none());
-        hook(1); // write 2: armed
-        assert!(itdb_store::fault::take_armed().is_some());
-        assert!(
-            Chaos::pre_write_hook(&ChaosConfig::default()).is_none(),
-            "no torn_every, no hook"
         );
     }
 }

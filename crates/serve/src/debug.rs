@@ -11,20 +11,16 @@
 //!   a live snapshot taken at request time).
 //! * **Slow-query log** — `/query` requests slower than
 //!   `--slow-query-ms` are written as one JSONL record (request id,
-//!   pattern, status, governor counters, evaluation stats, span profile)
-//!   to `--slow-log PATH`, or to stdout when no path is configured.
+//!   pattern, status, evaluation stats, span profile) to
+//!   `--slow-log PATH`, or to stdout when no path is configured.
 //! * **In-flight table** — every request registers itself (id, route,
-//!   start time) for its duration; `/query` additionally attaches its
-//!   per-request [`Governor`], whose atomic counters let
-//!   `GET /debug/requests` report fuel spent *while the evaluation is
-//!   still running*. Registration is RAII, so a panicking handler
-//!   unregisters on unwind.
+//!   start time) for its duration, listed by `GET /debug/requests`.
+//!   Registration is RAII, so a panicking handler unregisters on unwind.
 //! * **Per-route profiles** — each profiled request's span profile is
 //!   folded into a per-route aggregate for `GET /debug/profile`.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use itdb_lrp::Governor;
 use itdb_trace::flight::ThreadFlight;
 use itdb_trace::Profile;
 use std::collections::{BTreeMap, VecDeque};
@@ -114,25 +110,12 @@ struct InFlight {
     id: String,
     route: String,
     started: Instant,
-    /// Attached by `/query` once its per-request governor exists; its
-    /// stats are atomics, readable from the `/debug/requests` renderer
-    /// while the evaluation runs on another thread.
-    governor: Mutex<Option<Arc<Governor>>>,
 }
 
 /// Unregisters the request from the in-flight table on drop.
 pub struct InFlightGuard {
     state: Arc<DebugState>,
     entry: Arc<InFlight>,
-}
-
-impl InFlightGuard {
-    /// Attaches the request's governor so `/debug/requests` can report
-    /// its fuel spent live.
-    pub fn attach_governor(&self, governor: &Arc<Governor>) {
-        let mut slot = lock(&self.entry.governor);
-        *slot = Some(Arc::clone(governor));
-    }
 }
 
 impl Drop for InFlightGuard {
@@ -213,7 +196,6 @@ impl DebugState {
             id: id.to_string(),
             route: route.to_string(),
             started: Instant::now(),
-            governor: Mutex::new(None),
         });
         lock(&self.in_flight).push(Arc::clone(&entry));
         InFlightGuard {
@@ -286,14 +268,12 @@ impl DebugState {
     /// Writes one slow-query JSONL record and bumps the counter. The
     /// record is a single line; with no `--slow-log` file it goes to
     /// stdout, tagged so it interleaves recognizably with the access log.
-    #[allow(clippy::too_many_arguments)]
     pub fn record_slow(
         &self,
         request_id: &str,
         pattern: &str,
         status: &str,
         elapsed_us: u64,
-        governor: Option<&Arc<Governor>>,
         stats_json: &str,
         profile: &Profile,
     ) {
@@ -307,14 +287,6 @@ impl DebugState {
             out,
             "\",\"status\":\"{status}\",\"elapsed_us\":{elapsed_us}"
         );
-        if let Some(g) = governor {
-            let s = g.stats();
-            let _ = write!(
-                out,
-                ",\"governor\":{{\"iterations\":{},\"derived\":{},\"held\":{},\"checks\":{},\"elapsed_ms\":{}}}",
-                s.iterations, s.derived, s.held, s.checks, s.elapsed_ms
-            );
-        }
         let _ = write!(out, ",\"stats\":{stats_json},\"profile\":[");
         for (i, e) in profile.entries.iter().enumerate() {
             if i > 0 {
@@ -394,8 +366,7 @@ impl DebugState {
         out
     }
 
-    /// `GET /debug/requests` body: the in-flight table with live ages and
-    /// fuel spent (reads the attached governors' atomic counters).
+    /// `GET /debug/requests` body: the in-flight table with live ages.
     pub fn requests_json(&self) -> String {
         let table: Vec<Arc<InFlight>> = lock(&self.in_flight).clone();
         let mut out = String::with_capacity(128);
@@ -408,13 +379,9 @@ impl DebugState {
             itdb_trace::json::escape_into(&e.id, &mut out);
             out.push_str("\",\"route\":\"");
             itdb_trace::json::escape_into(&e.route, &mut out);
-            let fuel_spent = lock(&e.governor)
-                .as_ref()
-                .map(|g| g.stats().derived)
-                .unwrap_or(0);
             let _ = write!(
                 out,
-                "\",\"age_us\":{},\"fuel_spent\":{fuel_spent}}}",
+                "\",\"age_us\":{}}}",
                 u64::try_from(e.started.elapsed().as_micros()).unwrap_or(u64::MAX)
             );
         }
@@ -503,7 +470,6 @@ mod tests {
             "p[t]",
             "interrupted",
             1234,
-            None,
             "{\"tuples_derived\":5}",
             &Profile::default(),
         );

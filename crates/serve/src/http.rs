@@ -346,13 +346,13 @@ mod tests {
     #[test]
     fn parses_request_with_headers_and_body() {
         let req = parse(
-            b"POST /query HTTP/1.1\r\nHost: x\r\nX-Itdb-Fuel: 50\r\nContent-Length: 4\r\n\r\np[t]",
+            b"POST /query HTTP/1.1\r\nHost: x\r\nX-Itdb-Request-Id: r-50\r\nContent-Length: 4\r\n\r\np[t]",
         )
         .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/query");
-        assert_eq!(req.header("x-itdb-fuel"), Some("50"));
-        assert_eq!(req.header("X-Itdb-Fuel"), Some("50"));
+        assert_eq!(req.header("x-itdb-request-id"), Some("r-50"));
+        assert_eq!(req.header("X-Itdb-Request-Id"), Some("r-50"));
         assert_eq!(req.body, b"p[t]");
     }
 

@@ -45,7 +45,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use itdb_core::{ApplyError, EvalOptions, Fact, Op, ResidentModel, Workload};
+use itdb_core::{ApplyError, EvalOptions, Fact, Op, QueryStatus, ResidentModel, Workload};
 use itdb_lrp::parser::parse_tuple;
 use itdb_store::{ByteReader, ByteWriter, Section, SnapshotStore, Wal, WalOptions, WalStats};
 use itdb_trace::EventKind;
@@ -379,7 +379,9 @@ impl Ingest {
     /// resident checkpoint, replays the log past it, and returns the
     /// caught-up subsystem. The workload file supplies the program (a
     /// checkpoint written by a different program is refused and ingestion
-    /// starts fresh from the file).
+    /// starts fresh from the file). A workload whose evaluation diverges
+    /// or trips `config.eval`'s governor is refused: a partial model
+    /// cannot be maintained under writes.
     pub fn open(config: IngestConfig, workload: &Workload) -> io::Result<Ingest> {
         config
             .validate()
@@ -507,6 +509,12 @@ impl Ingest {
         let model =
             ResidentModel::new(workload.program.clone(), workload.edb.clone(), opts.clone())
                 .map_err(io::Error::other)?;
+        if *model.status() != QueryStatus::Complete {
+            return Err(io::Error::other(format!(
+                "resident model requires a convergent workload, got: {:?}",
+                model.status()
+            )));
+        }
         Ok((model, DedupWindow::new(dedup_cap), 0))
     }
 
@@ -619,6 +627,9 @@ impl Ingest {
             // the same deterministic decision, so the model and the log
             // still agree.
             Err(ApplyError::Invalid(e)) => return Err(IngestError::Rejected(e.to_string())),
+            // Unreachable from a booted subsystem (`open` refuses partial
+            // models), but still a deterministic refusal, never a panic.
+            Err(e @ ApplyError::Incomplete(_)) => return Err(IngestError::Rejected(e.to_string())),
             Err(ApplyError::RolledBack(e)) => {
                 self.batches_tripped.fetch_add(1, Ordering::Relaxed);
                 return Err(IngestError::Tripped {
@@ -1205,6 +1216,30 @@ mod tests {
             err.to_string().contains("compacted away"),
             "refused with the gap diagnosis, got: {err}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn non_convergent_workloads_are_refused_at_boot() {
+        let dir = temp_dir("diverging");
+        let workload = parse_workload(
+            "tuple seed (n) : T1 = 0\n\
+             rule p[t] <- seed[t].\n\
+             rule p[t + 1] <- p[t].\n",
+        )
+        .unwrap();
+        let err = match Ingest::open(config(&dir), &workload) {
+            Ok(_) => panic!("a diverging workload cannot be maintained"),
+            Err(e) => e,
+        };
+        assert!(err.to_string().contains("convergent"), "{err}");
+        let mut starved = config(&dir);
+        starved.eval.max_derived_tuples = Some(0);
+        let err = match Ingest::open(starved, &parse_workload(WORKLOAD).unwrap()) {
+            Ok(_) => panic!("a tripped materialisation cannot be maintained"),
+            Err(e) => e,
+        };
+        assert!(err.to_string().contains("Interrupted"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

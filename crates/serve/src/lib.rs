@@ -2,24 +2,25 @@
 //!
 //! A zero-dependency HTTP/1.1 server (hand-rolled over
 //! `std::net::TcpListener`, since the workspace builds offline) that keeps
-//! one parsed workload resident and answers queries against it
-//! repeatedly, each under its **own** resource governor:
+//! one workload resident and answers every query by looking it up in a
+//! model computed once:
 //!
 //! | Endpoint        | What it does                                          |
 //! |-----------------|-------------------------------------------------------|
 //! | `GET /healthz`  | liveness probe, `200 ok`                              |
 //! | `GET /metrics`  | Prometheus text: engine counters + HTTP families      |
-//! | `POST /query`   | body = query pattern; `X-Itdb-Fuel` / `X-Itdb-Timeout-Ms` headers override the server's default ceilings; `X-Itdb-Request-Id` honored or generated, echoed in JSON and headers; JSON answer with status `complete` / `diverged` / `interrupted` |
+//! | `POST /query`   | body = query pattern, answered from the materialised model (without a WAL the first `/query` materialises it under the server's `--fuel`/`--timeout-ms`); `X-Itdb-Request-Id` honored or generated, echoed in JSON and headers; JSON answer with the model's status `complete` / `diverged` / `interrupted` |
+//! | `POST /facts`   | with a WAL only: durably log a batch of assert/retract operations and apply it to the resident model |
 //! | `GET /events`   | live JSONL stream of trace events (chunked), bounded per-client queues, served by dedicated streamer threads |
 //! | `GET /debug/flight` | flight-recorder snapshot: live per-thread event rings + dumps retained from trips/panics/sheds |
 //! | `GET /debug/profile` | per-route span-profile aggregates |
-//! | `GET /debug/requests` | in-flight request table (id, route, age, fuel spent) |
+//! | `GET /debug/requests` | in-flight request table (id, route, age) |
 //!
 //! The interesting invariants live in [`server`]'s module docs: fan-out
 //! sinks are installed per worker thread (the trace registry is
-//! thread-local), per-request governors isolate trips, and evaluation
-//! statistics are folded into the aggregate explicitly rather than read
-//! from thread-local counters at `/metrics` render time.
+//! thread-local), there is one read path, and evaluation statistics are
+//! folded into the aggregate explicitly rather than read from
+//! thread-local counters at `/metrics` render time.
 //!
 //! ```no_run
 //! use itdb_serve::{ServeConfig, Server};
@@ -36,7 +37,6 @@
 #[cfg(feature = "chaos")]
 pub mod chaos;
 pub mod debug;
-pub mod durability;
 pub mod http;
 pub mod ingest;
 pub mod metrics;
@@ -44,7 +44,6 @@ pub mod server;
 pub mod shed;
 
 pub use debug::DebugState;
-pub use durability::Durability;
 pub use ingest::{Ingest, IngestConfig, IngestError, IngestOutcome};
 // Re-exported so embedders (and the `itdb` binary) can configure the WAL
 // without depending on `itdb-store` directly.

@@ -26,10 +26,9 @@
 //! panics, and sheds snapshot every ring into a retained dump
 //! (`GET /debug/flight`, `itdb_flight_dumps_total`). Requests slower
 //! than `slow_query_ms` are written to the slow-query log with their
-//! span profile and governor counters. `GET /debug/requests` lists
-//! in-flight requests with live fuel spent; `GET /debug/profile` serves
-//! per-route span aggregates. With `access_log` on, every request
-//! prints one structured JSONL line.
+//! span profile. `GET /debug/requests` lists in-flight requests;
+//! `GET /debug/profile` serves per-route span aggregates. With
+//! `access_log` on, every request prints one structured JSONL line.
 //!
 //! ## Self-healing
 //!
@@ -47,38 +46,36 @@
 //! [`AdmissionControl`] compares time-already-waited plus the EWMA of
 //! observed service times against `queue_deadline`: requests that would
 //! expire in line are shed with a fast `503` and a computed
-//! `Retry-After`, and under sustained queue pressure the *default* fuel
-//! ceiling is tightened (halved, then quartered) so the backlog drains.
-//! Requests with an explicit `X-Itdb-Fuel` header are never tightened.
+//! `Retry-After`.
 //!
-//! ## Durability
+//! ## One read path
 //!
-//! With `checkpoint_dir` set, the folded [`ServiceTotals`] aggregate is
-//! handed to a background writer after every query (coalescing,
-//! latest-wins, fsync off the request path) and restored on the next
-//! bind — a SIGKILL'd server resumes its workload counters.
+//! Every `/query` is a closed-form lookup in a materialised model
+//! ([`itdb_core::ResidentModel::answer`]); no request evaluates anything
+//! of its own. With a WAL the model is the ingest subsystem's resident
+//! model, built at boot and maintained by `POST /facts`. Without one it
+//! is [`itdb_core::Service::model`]: the **first** `/query` evaluates the
+//! workload once under `defaults` (fuel, deadline) and every later read
+//! shares the result, so `bind` itself evaluates nothing. A workload that
+//! diverges or trips that one budget is served as its sound partial
+//! model, and every answer carries that status until restart; the read
+//! that tripped captures the `governor_trip` flight dump.
 //!
-//! [`ServiceTotals`]: itdb_core::ServiceTotals
-//!
-//! Every `/query` request evaluates under its own governor
-//! ([`itdb_core::Service`]), so one request's fuel exhaustion or deadline
-//! is invisible to its neighbors. Graceful shutdown: cancelling the token
-//! stops the acceptor, closes the queue, and lets workers finish their
-//! in-flight requests.
+//! Graceful shutdown: cancelling the token stops the acceptor, closes the
+//! queue, and lets workers finish their in-flight requests.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 #[cfg(feature = "chaos")]
 use crate::chaos::{Chaos, ChaosAction};
-use crate::debug::{self, DebugState, InFlightGuard};
-use crate::durability::Durability;
+use crate::debug::{self, DebugState};
 use crate::http::{self, ParseError, Request};
 use crate::ingest::{parse_facts_body, Ingest, IngestConfig, IngestError};
 use crate::metrics::HttpMetrics;
 use crate::shed::{Admission, AdmissionControl};
 use itdb_core::{
-    parse_atom, query, write_metrics_into, CancelToken, QueryRequest, QueryResponse, QueryStatus,
-    Service, ServiceDefaults, Workload,
+    parse_atom, write_metrics_into, CancelToken, QueryResponse, QueryStatus, Service,
+    ServiceDefaults, Workload,
 };
 use itdb_trace::prom::PromText;
 use itdb_trace::{EventKind, FanoutSink, Sink};
@@ -112,8 +109,9 @@ pub struct ServeConfig {
     pub header_deadline: Duration,
     /// Socket write timeout (response writing, per write).
     pub write_timeout: Duration,
-    /// Server-side default resource ceilings for `/query` requests that
-    /// bring none of their own.
+    /// Budget (fuel, deadline) of the one materialisation the first
+    /// `/query` runs when there is no WAL. Unused with `ingest` set: the
+    /// resident model is evaluated under `IngestConfig::eval`.
     pub defaults: ServiceDefaults,
     /// Bounded per-subscriber `/events` queue depth; a stalled client
     /// loses events (counted) instead of stalling evaluation.
@@ -130,13 +128,9 @@ pub struct ServeConfig {
     /// How long a keep-alive connection may sit idle between requests
     /// before the server closes it silently.
     pub keepalive_idle: Duration,
-    /// Directory for serve-state checkpoints (`None` = not durable). The
-    /// folded query totals are written here in the background and
-    /// restored on the next bind.
-    pub checkpoint_dir: Option<PathBuf>,
     /// `/query` requests slower than this (wall clock, milliseconds) are
-    /// written to the slow-query log with their span profile and
-    /// governor counters. `None` disables the log.
+    /// written to the slow-query log with their span profile. `None`
+    /// disables the log.
     pub slow_query_ms: Option<u64>,
     /// Where slow-query JSONL records append; `None` = stdout.
     pub slow_log: Option<PathBuf>,
@@ -147,10 +141,11 @@ pub struct ServeConfig {
     pub access_log: bool,
     /// Streaming ingestion (`POST /facts`): WAL directory, flush policy,
     /// dedup window and checkpoint cadence. `None` = read-only serving
-    /// with per-request evaluation; `Some` keeps a resident incrementally
-    /// maintained model and answers reads from it as closed-form lookups.
+    /// from a model the first read materialises; `Some` keeps a resident
+    /// model, built at boot and maintained incrementally, and answers
+    /// reads from it.
     pub ingest: Option<IngestConfig>,
-    /// Seeded fault-injection schedule (chaos testing only).
+    /// Fault-injection schedule (chaos testing only).
     #[cfg(feature = "chaos")]
     pub chaos: Option<crate::chaos::ChaosConfig>,
 }
@@ -169,7 +164,6 @@ impl Default for ServeConfig {
             queue_deadline: Duration::from_secs(5),
             max_requests_per_conn: 32,
             keepalive_idle: Duration::from_secs(5),
-            checkpoint_dir: None,
             slow_query_ms: None,
             slow_log: None,
             flight_capacity: 256,
@@ -190,7 +184,6 @@ pub struct Server {
     fanout: Arc<FanoutSink>,
     metrics: Arc<HttpMetrics>,
     admission: Arc<AdmissionControl>,
-    durability: Option<Arc<Durability>>,
     ingest: Option<Arc<Ingest>>,
     debug: Arc<DebugState>,
     #[cfg(feature = "chaos")]
@@ -200,9 +193,9 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:7464`, or port `0` for an ephemeral
-    /// port in tests) and prepares the workload for serving. With
-    /// `checkpoint_dir` set, restores the newest valid totals snapshot
-    /// before accepting traffic.
+    /// port in tests) and prepares the workload for serving. With a WAL,
+    /// boot recovery builds the resident model here; without one nothing
+    /// is evaluated until the first `/query`.
     pub fn bind(
         addr: impl ToSocketAddrs,
         workload: Workload,
@@ -218,24 +211,7 @@ impl Server {
             None => None,
         };
         let service = Arc::new(Service::new(workload, config.defaults.clone()));
-        let durability = match &config.checkpoint_dir {
-            Some(dir) => {
-                #[cfg(feature = "chaos")]
-                let hook = config.chaos.as_ref().and_then(Chaos::pre_write_hook);
-                #[cfg(not(feature = "chaos"))]
-                let hook = None;
-                let (d, restored) = Durability::open_with_hook(dir, hook)?;
-                if let Some(totals) = restored {
-                    service.restore_totals(totals);
-                }
-                Some(Arc::new(d))
-            }
-            None => None,
-        };
-        let admission = Arc::new(AdmissionControl::new(
-            config.workers.max(1),
-            config.max_queued.max(1),
-        ));
+        let admission = Arc::new(AdmissionControl::new(config.workers.max(1)));
         #[cfg(feature = "chaos")]
         let chaos = config.chaos.clone().map(|c| Arc::new(Chaos::new(c)));
         let fanout = Arc::new(FanoutSink::new(config.events_queue_cap));
@@ -247,7 +223,6 @@ impl Server {
             fanout,
             metrics: Arc::new(HttpMetrics::new()),
             admission,
-            durability,
             ingest,
             debug,
             #[cfg(feature = "chaos")]
@@ -267,7 +242,8 @@ impl Server {
         self.local_addr
     }
 
-    /// The underlying per-request query service (for tests and embedding).
+    /// The query service: the workload, its lazily materialised model, and
+    /// the serving totals (for tests and embedding).
     pub fn service(&self) -> &Arc<Service> {
         &self.service
     }
@@ -285,7 +261,6 @@ impl Server {
             fanout: Arc::clone(&self.fanout),
             metrics: Arc::clone(&self.metrics),
             admission: Arc::clone(&self.admission),
-            durability: self.durability.clone(),
             ingest: self.ingest.clone(),
             debug: Arc::clone(&self.debug),
             streamers: Mutex::new(Vec::new()),
@@ -362,9 +337,6 @@ impl Server {
         for handle in streamers {
             let _ = handle.join();
         }
-        if let Some(d) = &self.durability {
-            let _ = d.flush(Duration::from_secs(5));
-        }
         if let Some(i) = &self.ingest {
             // Graceful shutdown earns a checkpoint; a crash leans on the
             // WAL instead.
@@ -389,7 +361,6 @@ struct WorkerCtx {
     fanout: Arc<FanoutSink>,
     metrics: Arc<HttpMetrics>,
     admission: Arc<AdmissionControl>,
-    durability: Option<Arc<Durability>>,
     ingest: Option<Arc<Ingest>>,
     debug: Arc<DebugState>,
     /// Dedicated `/events` streamer threads, joined at shutdown.
@@ -629,7 +600,7 @@ fn handle_connection(stream: TcpStream, ctx: &Arc<WorkerCtx>) {
         let status = match (req.method.as_str(), path.as_str()) {
             ("GET", "/healthz") => serve_healthz(&mut writer, keep),
             ("GET", "/metrics") => serve_metrics(&mut writer, ctx, keep),
-            ("POST", "/query") => serve_query(&mut writer, &req, ctx, keep, &request_id, &inflight),
+            ("POST", "/query") => serve_query(&mut writer, &req, ctx, keep, &request_id),
             ("POST", "/facts") => serve_facts(&mut writer, &req, ctx, keep, &request_id),
             ("GET", "/debug/flight") => {
                 serve_debug_body(&mut writer, ctx.debug.flight_json(), keep, &request_id)
@@ -756,7 +727,7 @@ fn serve_metrics(w: &mut impl Write, ctx: &WorkerCtx, keep: bool) -> u16 {
     );
     p.counter(
         "itdb_queries_interrupted_total",
-        "HTTP queries whose per-request governor tripped.",
+        "HTTP queries answered from a model whose evaluation tripped its governor.",
         totals.interrupted,
     );
     p.gauge(
@@ -805,24 +776,6 @@ fn serve_metrics(w: &mut impl Write, ctx: &WorkerCtx, keep: bool) -> u16 {
         "gauge",
         &in_flight_samples,
     );
-    if let Some(d) = &ctx.durability {
-        let s = d.stats();
-        p.counter(
-            "itdb_serve_checkpoint_writes_total",
-            "Serve-state checkpoint generations written in the background.",
-            s.written,
-        );
-        p.counter(
-            "itdb_serve_checkpoint_failures_total",
-            "Serve-state checkpoint writes that failed.",
-            s.failed,
-        );
-        p.counter(
-            "itdb_serve_checkpoint_coalesced_total",
-            "Serve-state checkpoint submissions coalesced before writing.",
-            s.coalesced,
-        );
-    }
     if let Some(ingest) = &ctx.ingest {
         let ws = ingest.wal_stats();
         let boot = ingest.boot_report();
@@ -926,11 +879,10 @@ fn serve_query(
     ctx: &WorkerCtx,
     keep: bool,
     request_id: &str,
-    inflight: &InFlightGuard,
 ) -> u16 {
     let id_header = [("X-Itdb-Request-Id", request_id)];
     let pattern = match std::str::from_utf8(&req.body) {
-        Ok(s) if !s.trim().is_empty() => s.trim().to_string(),
+        Ok(s) if !s.trim().is_empty() => s.trim(),
         Ok(_) => {
             let _ = http::write_response_with(
                 w,
@@ -954,98 +906,33 @@ fn serve_query(
             return 400;
         }
     };
-    let fuel = match parse_u64_header(req, "x-itdb-fuel") {
-        Ok(v) => v,
-        Err(msg) => {
-            let _ = http::write_response_with(
-                w,
-                400,
-                "application/json",
-                &json_error(&msg),
-                keep,
-                &id_header,
-            );
-            return 400;
-        }
-    };
-    let timeout_ms = match parse_u64_header(req, "x-itdb-timeout-ms") {
-        Ok(v) => v,
-        Err(msg) => {
-            let _ = http::write_response_with(
-                w,
-                400,
-                "application/json",
-                &json_error(&msg),
-                keep,
-                &id_header,
-            );
-            return 400;
-        }
-    };
-    // In ingest mode the model is already materialized and maintained:
-    // reads are closed-form lookups against the resident relations, with
-    // no per-request evaluation (and so no governor) at all.
-    if let Some(ingest) = &ctx.ingest {
-        return serve_query_resident(w, ingest, &pattern, keep, request_id);
-    }
-    // Under queue pressure, requests that bring no explicit budget run on
-    // a tightened default so the backlog drains. An explicit X-Itdb-Fuel
-    // is client intent and is never tightened.
-    let fuel = match fuel {
-        Some(f) => Some(f),
-        None => {
-            let divisor = ctx.admission.fuel_divisor();
-            match ctx.config.defaults.fuel {
-                Some(f) if divisor > 1 => Some((f / divisor).max(1)),
-                _ => None,
-            }
-        }
-    };
-    let query = QueryRequest {
-        pattern,
-        fuel,
-        timeout: timeout_ms.map(Duration::from_millis),
-        request_id: Some(request_id.to_string()),
-    };
     // Span profiling per request: feeds the /debug/profile aggregate and
-    // the slow-query log. Timing only — the evaluation's answers are
-    // byte-identical with or without it.
+    // the slow-query log. Timing only — answers are byte-identical with
+    // or without it.
     let started = Instant::now();
     itdb_trace::set_profiling(true);
-    let mut governor = None;
-    let result = ctx.service.run_query_observed(&query, |g| {
-        // Publish the per-request governor so /debug/requests can read
-        // fuel spent (atomics) while this evaluation runs.
-        inflight.attach_governor(g);
-        governor = Some(Arc::clone(g));
-    });
+    let result = answer(ctx, pattern, request_id);
     itdb_trace::set_profiling(false);
     let profile = itdb_trace::take_profile();
     let elapsed = started.elapsed();
     ctx.debug.absorb_profile("/query", &profile);
     match result {
-        Ok(resp) => {
-            if let Some(d) = &ctx.durability {
-                d.submit(&ctx.service.totals());
-            }
-            if matches!(resp.status, QueryStatus::Interrupted(_)) {
-                // A tripped request is exactly when an operator asks
-                // "what was it doing": freeze every worker's ring.
+        Ok((mut resp, materialised)) => {
+            resp.request_id = Some(request_id.to_string());
+            ctx.service.count_answer(&resp.status);
+            if materialised && matches!(resp.status, QueryStatus::Interrupted(_)) {
+                // The read whose materialisation tripped is exactly when
+                // an operator asks "what was it doing": freeze every
+                // worker's ring.
                 ctx.debug.capture_dump("governor_trip", Some(request_id));
             }
             if let Some(ms) = ctx.config.slow_query_ms {
                 if elapsed >= Duration::from_millis(ms) {
-                    let status_str = match &resp.status {
-                        QueryStatus::Complete => "complete",
-                        QueryStatus::Diverged => "diverged",
-                        QueryStatus::Interrupted(_) => "interrupted",
-                    };
                     ctx.debug.record_slow(
                         request_id,
-                        &query.pattern,
-                        status_str,
+                        pattern,
+                        &resp.status.to_string(),
                         u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-                        governor.as_ref(),
                         &resp.stats.to_json(),
                         &profile,
                     );
@@ -1062,8 +949,8 @@ fn serve_query(
             200
         }
         Err(e) => {
-            // Evaluation-layer rejections (bad pattern, unknown
-            // predicate) are the client's fault, not the server's.
+            // Pattern and lookup rejections (bad pattern, unknown
+            // predicate, arity) are the client's fault, not the server's.
             let _ = http::write_response_with(
                 w,
                 422,
@@ -1077,70 +964,22 @@ fn serve_query(
     }
 }
 
-/// The closed-form read path of ingest mode: answer the pattern against
-/// the resident model's maintained relations, no evaluation at all.
-fn serve_query_resident(
-    w: &mut impl Write,
-    ingest: &Ingest,
+/// The one read path: parse the pattern and look it up in the
+/// materialised model — the ingest subsystem's resident model with a WAL,
+/// the service's once-built model without one. The `bool` is true when
+/// this read materialised that model. The response is built under the
+/// ingest lock but rendered by the caller, outside it.
+fn answer(
+    ctx: &WorkerCtx,
     pattern: &str,
-    keep: bool,
     request_id: &str,
-) -> u16 {
-    let id_header = [("X-Itdb-Request-Id", request_id)];
-    let atom = match parse_atom(pattern) {
-        Ok(a) => a,
-        Err(e) => {
-            let _ = http::write_response_with(
-                w,
-                422,
-                "application/json",
-                &json_error(&e.to_string()),
-                keep,
-                &id_header,
-            );
-            return 422;
-        }
-    };
-    let residue_budget = itdb_core::EvalOptions::default().residue_budget;
-    let answered = ingest.with_model(|m| {
-        let rel = m.relation(&atom.pred).ok_or_else(|| {
-            format!(
-                "unknown predicate `{}` (neither derived nor extensional)",
-                atom.pred
-            )
-        })?;
-        let answers_rel = query(rel, &atom, residue_budget).map_err(|e| e.to_string())?;
-        Ok::<Vec<String>, String>(answers_rel.tuples().iter().map(|t| t.to_string()).collect())
-    });
-    match answered {
-        Ok(answers) => {
-            let resp = QueryResponse {
-                pred: atom.pred.clone(),
-                status: QueryStatus::Complete,
-                answers,
-                stats: itdb_core::EvalStats::default(),
-                request_id: Some(request_id.to_string()),
-            };
-            let _ = http::write_response_with(
-                w,
-                200,
-                "application/json",
-                resp.to_json().as_bytes(),
-                keep,
-                &id_header,
-            );
-            200
-        }
-        Err(msg) => {
-            let _ = http::write_response_with(
-                w,
-                422,
-                "application/json",
-                &json_error(&msg),
-                keep,
-                &id_header,
-            );
-            422
+) -> itdb_lrp::Result<(QueryResponse, bool)> {
+    let atom = parse_atom(pattern)?;
+    match &ctx.ingest {
+        Some(ingest) => Ok((ingest.with_model(|m| m.answer(&atom))?, false)),
+        None => {
+            let (model, materialised) = ctx.service.model(Some(request_id))?;
+            Ok((model.answer(&atom)?, materialised))
         }
     }
 }
@@ -1277,17 +1116,6 @@ fn serve_facts(
             );
             500
         }
-    }
-}
-
-fn parse_u64_header(req: &Request, name: &str) -> Result<Option<u64>, String> {
-    match req.header(name) {
-        None => Ok(None),
-        Some(v) => v
-            .trim()
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| format!("header {name}: `{v}` is not a non-negative integer")),
     }
 }
 

@@ -8,14 +8,6 @@
 //! a `Retry-After` derived from the same EWMA and the current queue
 //! depth, instead of wasting a worker on an answer nobody is waiting for.
 //!
-//! Under sustained overload the controller also *degrades* instead of
-//! queueing unboundedly: [`AdmissionControl::fuel_divisor`] reports how
-//! aggressively the server's **default** fuel ceiling should be tightened
-//! (halved past 50% queue pressure, quartered past 75%), so requests that
-//! bring no explicit budget finish faster and the queue drains. Requests
-//! carrying their own `X-Itdb-Fuel` are never tightened — explicit client
-//! intent wins.
-//!
 //! Everything is integer atomics (µs); no locks on the hot path.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
@@ -46,18 +38,15 @@ pub struct AdmissionControl {
     /// Connections currently queued (enqueued, not yet popped).
     depth: AtomicU64,
     workers: u64,
-    capacity: u64,
 }
 
 impl AdmissionControl {
-    /// A controller for a pool of `workers` threads behind a queue of
-    /// `capacity` slots.
-    pub fn new(workers: usize, capacity: usize) -> Self {
+    /// A controller for a pool of `workers` threads.
+    pub fn new(workers: usize) -> Self {
         AdmissionControl {
             ewma_us: AtomicU64::new(0),
             depth: AtomicU64::new(0),
             workers: workers.max(1) as u64,
-            capacity: capacity.max(1) as u64,
         }
     }
 
@@ -124,19 +113,6 @@ impl AdmissionControl {
         let backlog_us = ewma.saturating_mul(self.depth() + 1) / self.workers;
         (backlog_us.div_ceil(1_000_000)).max(1)
     }
-
-    /// Degradation factor for the *default* fuel ceiling: 1 under normal
-    /// load, 2 past 50% queue pressure, 4 past 75%.
-    pub fn fuel_divisor(&self) -> u64 {
-        let depth = self.depth();
-        if depth.saturating_mul(4) >= self.capacity.saturating_mul(3) {
-            4
-        } else if depth.saturating_mul(2) >= self.capacity {
-            2
-        } else {
-            1
-        }
-    }
 }
 
 #[cfg(test)]
@@ -146,7 +122,7 @@ mod tests {
 
     #[test]
     fn ewma_seeds_then_smooths() {
-        let ac = AdmissionControl::new(4, 64);
+        let ac = AdmissionControl::new(4);
         assert_eq!(ac.ewma_us(), 0);
         ac.observe_service(Duration::from_micros(800));
         assert_eq!(ac.ewma_us(), 800, "first sample seeds");
@@ -158,7 +134,7 @@ mod tests {
 
     #[test]
     fn fresh_requests_are_served_and_expired_ones_shed() {
-        let ac = AdmissionControl::new(2, 8);
+        let ac = AdmissionControl::new(2);
         ac.observe_service(Duration::from_millis(100));
         // Plenty of deadline left: serve.
         assert_eq!(
@@ -173,7 +149,7 @@ mod tests {
 
     #[test]
     fn zero_ewma_never_sheds_before_the_deadline() {
-        let ac = AdmissionControl::new(2, 8);
+        let ac = AdmissionControl::new(2);
         assert_eq!(
             ac.verdict(Duration::from_millis(500), Duration::from_secs(1)),
             Admission::Serve,
@@ -187,7 +163,7 @@ mod tests {
 
     #[test]
     fn retry_after_scales_with_backlog() {
-        let ac = AdmissionControl::new(1, 8);
+        let ac = AdmissionControl::new(1);
         ac.observe_service(Duration::from_secs(2));
         assert_eq!(ac.retry_after_s(), 2, "empty queue: one service time");
         for _ in 0..3 {
@@ -196,25 +172,9 @@ mod tests {
         assert_eq!(ac.retry_after_s(), 8, "3 queued + self, 1 worker, 2s each");
         ac.on_dequeue();
         assert_eq!(ac.retry_after_s(), 6);
-    }
-
-    #[test]
-    fn fuel_divisor_tracks_queue_pressure() {
-        let ac = AdmissionControl::new(2, 8);
-        assert_eq!(ac.fuel_divisor(), 1);
         for _ in 0..4 {
-            ac.on_enqueue(); // 50%
+            ac.on_dequeue(); // saturates at zero, no underflow
         }
-        assert_eq!(ac.fuel_divisor(), 2);
-        for _ in 0..2 {
-            ac.on_enqueue(); // 75%
-        }
-        assert_eq!(ac.fuel_divisor(), 4);
-        for _ in 0..6 {
-            ac.on_dequeue();
-        }
-        assert_eq!(ac.fuel_divisor(), 1);
-        ac.on_dequeue(); // saturates at zero, no underflow
         assert_eq!(ac.depth(), 0);
     }
 }

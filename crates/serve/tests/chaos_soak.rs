@@ -1,27 +1,24 @@
-//! The chaos soak: a live server under a **deterministic, seeded** fault
-//! schedule — handler panics, worker deaths, torn checkpoint writes, and
-//! a stalled `/events` client — must keep every invariant:
+//! The chaos soak: a live server under a **deterministic** fault
+//! schedule — handler panics, worker deaths, and a stalled `/events`
+//! client — must keep every invariant:
 //!
 //! - every accepted request gets exactly one response (none lost, none
 //!   duplicated);
 //! - the worker pool is restored after every injected death;
 //! - `/metrics` counters stay monotone across the soak;
-//! - after an abrupt restart the server resumes its persisted workload
-//!   totals, and stateless query answers are byte-identical to a fresh
-//!   reference server's.
+//! - after a restart the server answers byte-identically to a fresh
+//!   reference server, and its counters start again from zero.
 //!
 //! Compiled only with `--features chaos` (see `[[test]]` in Cargo.toml).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use itdb_core::{parse_workload, CancelToken};
+use itdb_core::{parse_workload, CancelToken, ServiceDefaults};
 use itdb_serve::chaos::ChaosConfig;
 use itdb_serve::{ServeConfig, Server};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::Duration;
 
@@ -64,17 +61,6 @@ impl Drop for TestServer {
     }
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "itdb_chaos_{tag}_{}_{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// One exchange with `Connection: close`; reads the whole response.
 fn exchange(addr: SocketAddr, request: &str) -> String {
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -87,11 +73,11 @@ fn exchange(addr: SocketAddr, request: &str) -> String {
     out
 }
 
-fn post_query(addr: SocketAddr, pattern: &str, fuel: u64) -> String {
+fn post_query(addr: SocketAddr, pattern: &str) -> String {
     exchange(
         addr,
         &format!(
-            "POST /query HTTP/1.1\r\nHost: t\r\nConnection: close\r\nX-Itdb-Fuel: {fuel}\r\nContent-Length: {}\r\n\r\n{pattern}",
+            "POST /query HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{pattern}",
             pattern.len()
         ),
     )
@@ -151,19 +137,15 @@ fn counter(metrics: &str, name: &str) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// The main soak: seeded panics, worker deaths and torn checkpoint writes
-/// while a stalled `/events` client hangs off the server.
+/// The main soak: scheduled panics and worker deaths while a stalled
+/// `/events` client hangs off the server.
 #[test]
-fn soak_survives_seeded_panics_deaths_and_torn_writes() {
-    let dir = temp_dir("soak");
+fn soak_survives_scheduled_panics_and_deaths() {
     let ts = TestServer::start(ServeConfig {
         workers: 4,
-        checkpoint_dir: Some(dir.clone()),
         chaos: Some(ChaosConfig {
-            seed: 0xC0FFEE,
             panic_every: Some(7),
             kill_every: Some(13),
-            torn_every: Some(2),
         }),
         ..ServeConfig::default()
     });
@@ -178,7 +160,7 @@ fn soak_survives_seeded_panics_deaths_and_torn_writes() {
     let mut statuses = Vec::with_capacity(N);
     for i in 0..N {
         let resp = if i % 2 == 0 {
-            post_query(ts.addr, "p[t]", 10)
+            post_query(ts.addr, "p[t]")
         } else {
             get(ts.addr, "/healthz")
         };
@@ -213,17 +195,10 @@ fn soak_survives_seeded_panics_deaths_and_torn_writes() {
         counter(&m1, "itdb_worker_respawns_total") >= 1.0,
         "no respawns:\n{m1}"
     );
-    // Checkpoints kept landing while chaos tore every second image (a
-    // torn write "succeeds" at the fs layer — damage surfaces at load,
-    // which the restart test exercises).
-    assert!(
-        counter(&m1, "itdb_serve_checkpoint_writes_total") >= 1.0,
-        "no durable checkpoint writes:\n{m1}"
-    );
 
     // Counters stay monotone across more chaos.
     for _ in 0..10 {
-        let _ = post_query(ts.addr, "p[t]", 10);
+        let _ = post_query(ts.addr, "p[t]");
     }
     let m2 = fetch_metrics(ts.addr);
     let (c1, c2) = (counter_samples(&m1), counter_samples(&m2));
@@ -253,74 +228,51 @@ fn soak_survives_seeded_panics_deaths_and_torn_writes() {
 
     drop(stalled);
     drop(ts);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Restart equivalence: an ungracefully stopped server (its checkpoints
-/// damaged on schedule) resumes valid workload totals, and its stateless
-/// query answers are byte-identical to a fresh reference server's.
+/// Restart equivalence: a server that served queries under chaos and
+/// was stopped answers, once restarted, byte-identically to a reference
+/// server that never ran — the model is a function of the workload
+/// alone — and its counters start again from zero.
 #[test]
-fn restart_resumes_persisted_totals_despite_torn_writes() {
-    let dir = temp_dir("resume");
+fn restart_answers_like_a_fresh_server() {
     let queries = 6u64;
     {
         let ts = TestServer::start(ServeConfig {
             workers: 2,
-            checkpoint_dir: Some(dir.clone()),
             chaos: Some(ChaosConfig {
-                seed: 9,
-                panic_every: None,
+                panic_every: Some(4),
                 kill_every: None,
-                torn_every: Some(2),
             }),
             ..ServeConfig::default()
         });
+        let mut served = 0;
         for _ in 0..queries {
-            let resp = post_query(ts.addr, "p[t]", 10);
-            assert_eq!(status_of(&resp), 200, "{resp}");
+            if status_of(&post_query(ts.addr, "p[t]")) == 200 {
+                served += 1;
+            }
         }
-        let m = fetch_metrics(ts.addr);
-        assert_eq!(counter(&m, "itdb_queries_total"), queries as f64, "{m}");
-        // Drop = graceful here; SIGKILL-mid-write is exercised by the
-        // ci/chaos_soak.sh harness against the real binary. What this
-        // test pins down is recovery past the generations chaos tore.
+        assert!(served >= 1, "chaos swallowed every query");
     }
 
-    // Restart on the same directory, chaos off.
     let ts = TestServer::start(ServeConfig {
         workers: 2,
-        checkpoint_dir: Some(dir.clone()),
-        chaos: None,
         ..ServeConfig::default()
     });
     let m = fetch_metrics(ts.addr);
-    let restored = counter(&m, "itdb_queries_total");
-    // Torn generations may cost the newest snapshot, never validity: the
-    // restored count is some true earlier value, not zero, not garbage.
-    assert!(
-        restored >= 1.0 && restored <= queries as f64,
-        "restored itdb_queries_total = {restored}, expected 1..={queries}:\n{m}"
-    );
-    let derived = counter(&m, "itdb_tuples_derived_total");
-    assert!(derived > 0.0, "restored totals lost engine counters:\n{m}");
-
-    // Workload state resumed, query answers unchanged: byte-identical to
-    // a reference server that never crashed.
+    assert_eq!(counter(&m, "itdb_queries_total"), 0.0, "{m}");
     let reference = TestServer::start(ServeConfig::default());
-    let after = post_query(ts.addr, "p[t]", 10);
-    let fresh = post_query(reference.addr, "p[t]", 10);
+    let after = post_query(ts.addr, "p[t]");
+    let fresh = post_query(reference.addr, "p[t]");
     assert_eq!(status_of(&after), 200);
     assert_eq!(
         deterministic_part(body_of(&after)),
         deterministic_part(body_of(&fresh)),
         "restart changed query answers"
     );
-    // And the counter keeps counting from where it resumed.
     let m2 = fetch_metrics(ts.addr);
-    assert_eq!(counter(&m2, "itdb_queries_total"), restored + 1.0, "{m2}");
-
-    drop(ts);
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(counter(&m2, "itdb_queries_total"), 1.0, "{m2}");
+    assert!(counter(&m2, "itdb_tuples_derived_total") > 0.0, "{m2}");
 }
 
 /// Fetches a path, retrying past injected chaos 500s.
@@ -334,36 +286,41 @@ fn fetch_ok(addr: SocketAddr, path: &str) -> String {
     panic!("no 200 from {path} in 20 attempts");
 }
 
-/// Flight recorder under chaos: an induced governor trip mid-soak leaves
-/// a retained dump — tagged with the tripped request's id and holding the
-/// ring's recent events — retrievable over `/debug/flight` while panics
-/// keep landing, and counted in `itdb_flight_dumps_total`.
+/// Flight recorder under chaos: a governor trip mid-soak leaves a
+/// retained dump — tagged with the id of the read whose materialisation
+/// tripped and holding the ring's recent events — retrievable over
+/// `/debug/flight` while panics keep landing, and counted in
+/// `itdb_flight_dumps_total`.
 #[test]
 fn induced_trip_leaves_a_flight_dump_under_chaos() {
     let ts = TestServer::start(ServeConfig {
         workers: 2,
+        // The server-level budget the one materialisation runs on: fuel
+        // 2 trips on the diverging predicate.
+        defaults: ServiceDefaults {
+            fuel: Some(2),
+            timeout: None,
+        },
         chaos: Some(ChaosConfig {
-            seed: 42,
             panic_every: Some(5),
             kill_every: None,
-            torn_every: None,
         }),
         ..ServeConfig::default()
     });
-    // Warm the rings (and let chaos panics fire — each captures a
+    // Let chaos panics fire before any query (each captures a
     // worker_panic dump of its own).
     for _ in 0..12 {
-        let _ = post_query(ts.addr, "p[t]", 10);
+        let _ = get(ts.addr, "/healthz");
     }
-    // The induced trip: starved fuel on the diverging predicate, with an
-    // explicit id so the dump is attributable. Chaos may 500 it; retry
-    // until the trip actually happens.
+    // The first query to reach the handler materialises and trips, with
+    // an explicit id so the dump is attributable. Chaos may 500 it before
+    // the handler runs; retry until it answers.
     let mut tripped = String::new();
     for _ in 0..20 {
         tripped = exchange(
             ts.addr,
             "POST /query HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
-             X-Itdb-Request-Id: chaos-trip\r\nX-Itdb-Fuel: 2\r\n\
+             X-Itdb-Request-Id: chaos-trip\r\n\
              Content-Length: 4\r\n\r\np[t]",
         );
         if status_of(&tripped) == 200 {

@@ -66,7 +66,7 @@ fn header_fragments() -> Vec<&'static str> {
         "Content-Length: -1",
         "Content-Length: 999999999999999999999999",
         "Content-Length: 4x",
-        "X-Itdb-Fuel: 50",
+        "X-Itdb-Request-Id: r-50",
         "No-Colon-Here",
         ": empty-name",
         "Connection: close",

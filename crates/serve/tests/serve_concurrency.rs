@@ -1,10 +1,12 @@
-//! End-to-end concurrency tests over real sockets: per-request governor
-//! isolation, deterministic answers under parallelism, and bounded-queue
-//! behavior for stalled `/events` subscribers.
+//! End-to-end concurrency tests over real sockets: keep-alive, admission
+//! control, shutdown, bounded-queue behavior for stalled `/events`
+//! subscribers, and the per-request observability surface. (Concurrent
+//! answers against the once-materialised model are pinned down by
+//! `one_read_path.rs`.)
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use itdb_core::{parse_workload, CancelToken};
+use itdb_core::{parse_workload, CancelToken, ServiceDefaults};
 use itdb_serve::{ServeConfig, Server};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -29,11 +31,7 @@ struct TestServer {
 
 impl TestServer {
     fn start(config: ServeConfig) -> TestServer {
-        TestServer::start_with(config, WORKLOAD)
-    }
-
-    fn start_with(config: ServeConfig, workload: &str) -> TestServer {
-        let workload = parse_workload(workload).unwrap();
+        let workload = parse_workload(WORKLOAD).unwrap();
         let server = Server::bind("127.0.0.1:0", workload, config).unwrap();
         let addr = server.local_addr();
         let shutdown = CancelToken::new();
@@ -93,17 +91,26 @@ fn read_one_response(reader: &mut BufReader<TcpStream>) -> String {
     head + &String::from_utf8(body).unwrap()
 }
 
-fn post_query(addr: SocketAddr, pattern: &str, fuel: Option<u64>) -> String {
-    let fuel_header = fuel
-        .map(|f| format!("X-Itdb-Fuel: {f}\r\n"))
-        .unwrap_or_default();
+fn post_query(addr: SocketAddr, pattern: &str) -> String {
     exchange(
         addr,
         &format!(
-            "POST /query HTTP/1.1\r\nHost: t\r\n{fuel_header}Content-Length: {}\r\n\r\n{pattern}",
+            "POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{pattern}",
             pattern.len()
         ),
     )
+}
+
+/// A server whose one materialisation runs on `fuel`: the diverging
+/// predicate trips it.
+fn starved(fuel: u64) -> ServeConfig {
+    ServeConfig {
+        defaults: ServiceDefaults {
+            fuel: Some(fuel),
+            timeout: None,
+        },
+        ..ServeConfig::default()
+    }
 }
 
 fn status_of(response: &str) -> u16 {
@@ -145,102 +152,16 @@ fn query_rejections_are_typed_not_500s() {
         "POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n",
     );
     assert_eq!(status_of(&empty), 400);
-    // Unparseable fuel header.
-    let bad_fuel = exchange(
-        ts.addr,
-        "POST /query HTTP/1.1\r\nHost: t\r\nX-Itdb-Fuel: lots\r\nContent-Length: 4\r\n\r\np[t]",
-    );
-    assert_eq!(status_of(&bad_fuel), 400);
-    assert!(body_of(&bad_fuel).contains("x-itdb-fuel"), "{bad_fuel}");
     // Unknown predicate.
-    let unknown = post_query(ts.addr, "ghost[t]", Some(10));
+    let unknown = post_query(ts.addr, "ghost[t]");
     assert_eq!(status_of(&unknown), 422);
     assert!(body_of(&unknown).contains("unknown predicate"), "{unknown}");
+    // Unparseable pattern.
+    let garbled = post_query(ts.addr, "p[[");
+    assert_eq!(status_of(&garbled), 422, "{garbled}");
 }
 
-/// Satellite 4, part 1: ≥8 parallel queries with **distinct** fuel
-/// ceilings produce answers byte-identical to the same queries run
-/// sequentially (stats' wall-clock fields excluded — everything else in
-/// the payload must match exactly).
-#[test]
-fn eight_parallel_queries_match_sequential_byte_for_byte() {
-    let ts = TestServer::start(ServeConfig {
-        workers: 10,
-        ..ServeConfig::default()
-    });
-    let fuels: Vec<u64> = (0..8).map(|i| 3 + 2 * i).collect();
-    let sequential: Vec<String> = fuels
-        .iter()
-        .map(|&f| {
-            let resp = post_query(ts.addr, "p[t]", Some(f));
-            assert_eq!(status_of(&resp), 200, "{resp}");
-            deterministic_part(body_of(&resp)).to_string()
-        })
-        .collect();
-    let handles: Vec<_> = fuels
-        .iter()
-        .map(|&f| {
-            let addr = ts.addr;
-            thread::spawn(move || post_query(addr, "p[t]", Some(f)))
-        })
-        .collect();
-    let concurrent: Vec<String> = handles
-        .into_iter()
-        .map(|h| {
-            let resp = h.join().unwrap();
-            assert_eq!(status_of(&resp), 200, "{resp}");
-            deterministic_part(body_of(&resp)).to_string()
-        })
-        .collect();
-    assert_eq!(sequential, concurrent);
-    // Distinct fuels genuinely produced distinct partial models.
-    let unique: std::collections::BTreeSet<&String> = sequential.iter().collect();
-    assert_eq!(unique.len(), fuels.len(), "{sequential:#?}");
-}
-
-/// Satellite 4, part 2: a starved request trips while a well-fed one on
-/// the same (diverging) predicate — running at the same time — is
-/// unaffected; concurrently, a server holding a convergent workload keeps
-/// answering `complete`.
-#[test]
-fn per_request_trips_are_isolated_across_workers() {
-    let ts = TestServer::start(ServeConfig {
-        workers: 8,
-        ..ServeConfig::default()
-    });
-    // Evaluation is whole-program per request, so the convergent query
-    // runs against a workload without the diverging rules.
-    let convergent_ts = TestServer::start_with(
-        ServeConfig::default(),
-        "tuple course (168n+8, 168n+10; database) : T2 = T1 + 2\n\
-         rule problems[t1 + 2, t2 + 2](C) <- course[t1, t2](C).\n\
-         rule problems[t1 + 48, t2 + 48](C) <- problems[t1, t2](C).\n",
-    );
-    let addr = ts.addr;
-    let conv_addr = convergent_ts.addr;
-    let starved = thread::spawn(move || post_query(addr, "p[t]", Some(2)));
-    let fed = thread::spawn(move || post_query(addr, "p[t]", Some(1000)));
-    let convergent =
-        thread::spawn(move || post_query(conv_addr, "problems[t, t + 2](database)", None));
-    let starved = starved.join().unwrap();
-    let fed = fed.join().unwrap();
-    let convergent = convergent.join().unwrap();
-    assert!(
-        body_of(&starved).contains("\"status\":\"interrupted\""),
-        "{starved}"
-    );
-    // A trip still answers from the sound partial model.
-    assert!(!body_of(&starved).contains("\"answers\":[]"), "{starved}");
-    // The diverging predicate with ample fuel exhausts its grace
-    // iterations instead of inheriting the starved request's trip.
-    assert!(body_of(&fed).contains("\"status\":\"diverged\""), "{fed}");
-    assert!(
-        body_of(&convergent).contains("\"status\":\"complete\""),
-        "{convergent}"
-    );
-}
-
-/// Satellite 4, part 3: a stalled `/events` subscriber fills its bounded
+/// A stalled `/events` subscriber fills its bounded
 /// queue and loses events — visible in `/metrics` — while queries keep
 /// being answered and a healthy subscriber keeps receiving.
 #[test]
@@ -280,10 +201,10 @@ fn stalled_events_subscriber_drops_bounded_and_counted() {
         }
     });
     // Give both subscriptions time to register, then generate plenty of
-    // trace events with governed evaluations.
+    // trace events: the first query materialises the model.
     thread::sleep(Duration::from_millis(300));
     for _ in 0..3 {
-        let resp = post_query(ts.addr, "p[t]", Some(40));
+        let resp = post_query(ts.addr, "p[t]");
         assert_eq!(status_of(&resp), 200, "{resp}");
     }
     // Wait until the healthy subscriber observed evaluation events.
@@ -404,7 +325,7 @@ fn expiring_requests_are_shed_with_retry_after() {
     let mut shed = Vec::new();
     let mut served = 0u32;
     for _ in 0..10 {
-        let resp = post_query(ts.addr, "p[t]", Some(5));
+        let resp = post_query(ts.addr, "p[t]");
         match status_of(&resp) {
             503 => shed.push(resp),
             200 => served += 1,
@@ -429,7 +350,7 @@ fn expiring_requests_are_shed_with_retry_after() {
 #[test]
 fn metrics_expose_latency_histogram_per_route() {
     let ts = TestServer::start(ServeConfig::default());
-    let resp = post_query(ts.addr, "p[t]", Some(10));
+    let resp = post_query(ts.addr, "p[t]");
     assert_eq!(status_of(&resp), 200);
     let metrics = exchange(ts.addr, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
     let body = body_of(&metrics);
@@ -469,7 +390,7 @@ fn metrics_expose_latency_histogram_per_route() {
 #[test]
 fn shutdown_drains_and_returns() {
     let ts = TestServer::start(ServeConfig::default());
-    let resp = post_query(ts.addr, "problems[t, t + 2](database)", None);
+    let resp = post_query(ts.addr, "problems[t, t + 2](database)");
     assert_eq!(status_of(&resp), 200);
     let addr = ts.addr;
     drop(ts); // cancels + joins in Drop, asserting run() returned Ok
@@ -488,14 +409,15 @@ fn shutdown_drains_and_returns() {
     }
 }
 
-/// `/metrics` exposes engine counters folded across pooled workers — the
-/// totals reflect work done on *other* threads, which only works because
-/// the service folds per-request stats explicitly.
+/// `/metrics` exposes the engine counters of the materialisation, which
+/// ran on a pooled worker — they reflect work done on *another* thread,
+/// which only works because the service folds evaluation stats
+/// explicitly.
 #[test]
 fn metrics_reflect_cross_thread_evaluation_stats() {
     let ts = TestServer::start(ServeConfig::default());
     for _ in 0..2 {
-        let resp = post_query(ts.addr, "problems[t, t + 2](database)", None);
+        let resp = post_query(ts.addr, "problems[t, t + 2](database)");
         assert_eq!(status_of(&resp), 200);
     }
     let metrics = exchange(ts.addr, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
@@ -519,7 +441,7 @@ fn metrics_reflect_cross_thread_evaluation_stats() {
 /// Request identity over real sockets: inbound ids are honored and echoed
 /// (header + JSON, after `stats`), minted ids are unique, and every trace
 /// event streamed over `/events` carries the id of the request that
-/// emitted it.
+/// emitted it — the first query's, whose read materialised the model.
 #[test]
 fn request_ids_are_minted_echoed_and_stamped_on_events() {
     let ts = TestServer::start(ServeConfig {
@@ -556,7 +478,7 @@ fn request_ids_are_minted_echoed_and_stamped_on_events() {
     let resp = exchange(
         ts.addr,
         "POST /query HTTP/1.1\r\nHost: t\r\nX-Itdb-Request-Id: client-id-7\r\n\
-         X-Itdb-Fuel: 25\r\nContent-Length: 4\r\n\r\np[t]",
+         Content-Length: 4\r\n\r\np[t]",
     );
     assert_eq!(status_of(&resp), 200, "{resp}");
     assert!(
@@ -579,8 +501,8 @@ fn request_ids_are_minted_echoed_and_stamped_on_events() {
             .map(|v| v.trim().to_string())
             .unwrap_or_else(|| panic!("no request id header: {resp}"))
     };
-    let a = post_query(ts.addr, "p[t]", Some(10));
-    let b = post_query(ts.addr, "p[t]", Some(10));
+    let a = post_query(ts.addr, "p[t]");
+    let b = post_query(ts.addr, "p[t]");
     let (ida, idb) = (id_of(&a), id_of(&b));
     assert_ne!(ida, idb, "minted ids must be unique");
     assert!(
@@ -617,18 +539,19 @@ fn request_ids_are_minted_echoed_and_stamped_on_events() {
 /// The `/debug` family over real sockets: `/debug/requests` shows its own
 /// in-flight request, `/debug/profile` aggregates the `/query` span
 /// profile, and `/debug/flight` serves live rings plus retained dumps —
-/// including one captured automatically on a governor trip, keyed by the
-/// tripped request's id.
+/// including one captured automatically when the read that materialised
+/// the model tripped, keyed by that read's id.
 #[test]
 fn debug_endpoints_expose_requests_profile_and_trip_dumps() {
-    let ts = TestServer::start(ServeConfig::default());
+    let ts = TestServer::start(starved(2));
 
-    // A tripped query (fuel 2 on the diverging predicate) captures a
-    // flight dump tagged governor_trip + its request id.
+    // The first query materialises under fuel 2, trips on the diverging
+    // predicate, and captures a flight dump tagged governor_trip + its
+    // request id.
     let tripped = exchange(
         ts.addr,
         "POST /query HTTP/1.1\r\nHost: t\r\nX-Itdb-Request-Id: trip-me\r\n\
-         X-Itdb-Fuel: 2\r\nContent-Length: 4\r\n\r\np[t]",
+         Content-Length: 4\r\n\r\np[t]",
     );
     assert!(
         body_of(&tripped).contains("\"status\":\"interrupted\""),
@@ -646,7 +569,6 @@ fn debug_endpoints_expose_requests_profile_and_trip_dumps() {
     assert!(body.contains("\"id\":\"debug-self\""), "{body}");
     assert!(body.contains("\"route\":\"/debug/requests\""), "{body}");
     assert!(body.contains("\"age_us\":"), "{body}");
-    assert!(body.contains("\"fuel_spent\":"), "{body}");
 
     // /debug/profile has folded the query's span profile under /query.
     let prof = exchange(ts.addr, "GET /debug/profile HTTP/1.1\r\nHost: t\r\n\r\n");
@@ -679,8 +601,8 @@ fn debug_endpoints_expose_requests_profile_and_trip_dumps() {
 }
 
 /// Slow-query logging end to end: with a zero threshold every `/query`
-/// writes one JSONL record — request id, pattern, status, governor
-/// counters, evaluation stats, span profile — to the configured file.
+/// writes one JSONL record — request id, pattern, status, evaluation
+/// stats, span profile — to the configured file.
 #[test]
 fn slow_query_log_records_round_trip_through_the_file() {
     let dir = std::env::temp_dir().join(format!("itdb_serve_slow_{}", std::process::id()));
@@ -694,7 +616,7 @@ fn slow_query_log_records_round_trip_through_the_file() {
     let resp = exchange(
         ts.addr,
         "POST /query HTTP/1.1\r\nHost: t\r\nX-Itdb-Request-Id: slow-1\r\n\
-         X-Itdb-Fuel: 25\r\nContent-Length: 4\r\n\r\np[t]",
+         Content-Length: 4\r\n\r\np[t]",
     );
     assert_eq!(status_of(&resp), 200, "{resp}");
     // /metrics sees the slow-query counter and the new gauges.
@@ -714,7 +636,7 @@ fn slow_query_log_records_round_trip_through_the_file() {
     assert!(line.contains("\"request_id\":\"slow-1\""), "{line}");
     assert!(line.contains("\"pattern\":\"p[t]\""), "{line}");
     assert!(line.contains("\"status\":\"diverged\""), "{line}");
-    assert!(line.contains("\"governor\":{\"iterations\":"), "{line}");
+    assert!(!line.contains("\"governor\""), "{line}");
     assert!(line.contains("\"stats\":{"), "{line}");
     assert!(line.contains("\"profile\":["), "{line}");
     assert!(line.ends_with("]}"), "{line}");
@@ -743,7 +665,7 @@ fn events_streamers_run_off_the_worker_pool() {
     // Let the subscription land on the lone worker, then prove the worker
     // is free again: queries still answer.
     thread::sleep(Duration::from_millis(300));
-    let resp = post_query(ts.addr, "p[t]", Some(10));
+    let resp = post_query(ts.addr, "p[t]");
     assert_eq!(status_of(&resp), 200, "{resp}");
     let metrics = exchange(ts.addr, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
     let body = body_of(&metrics);

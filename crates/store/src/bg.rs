@@ -39,11 +39,6 @@ pub struct BgWriterStats {
     pub last_bytes: u64,
 }
 
-/// A hook run on the writer thread immediately before each write, with the
-/// 0-based index of that write. Exists so test harnesses (the chaos soak)
-/// can arm thread-local fault plans on the thread that actually writes.
-pub type PreWriteHook = Box<dyn Fn(u64) + Send>;
-
 struct Slot {
     pending: Option<Vec<Section>>,
     /// The writer is between taking a job and finishing it.
@@ -78,15 +73,6 @@ pub struct BackgroundWriter {
 impl BackgroundWriter {
     /// Spawns the writer thread against `store`.
     pub fn spawn(store: Arc<SnapshotStore>) -> std::io::Result<Self> {
-        Self::spawn_with_hook(store, None)
-    }
-
-    /// Like [`spawn`](Self::spawn), with a pre-write hook (see
-    /// [`PreWriteHook`]).
-    pub fn spawn_with_hook(
-        store: Arc<SnapshotStore>,
-        hook: Option<PreWriteHook>,
-    ) -> std::io::Result<Self> {
         let shared = Arc::new(Shared {
             slot: Mutex::new(Slot {
                 pending: None,
@@ -100,7 +86,7 @@ impl BackgroundWriter {
         let thread_shared = Arc::clone(&shared);
         let handle = thread::Builder::new()
             .name("itdb-bg-writer".into())
-            .spawn(move || writer_loop(&thread_shared, &store, hook))?;
+            .spawn(move || writer_loop(&thread_shared, &store))?;
         Ok(BackgroundWriter {
             shared,
             handle: Some(handle),
@@ -159,8 +145,7 @@ impl Drop for BackgroundWriter {
     }
 }
 
-fn writer_loop(shared: &Shared, store: &SnapshotStore, hook: Option<PreWriteHook>) {
-    let mut writes = 0u64;
+fn writer_loop(shared: &Shared, store: &SnapshotStore) {
     loop {
         let job = {
             let mut slot = shared.lock();
@@ -175,10 +160,6 @@ fn writer_loop(shared: &Shared, store: &SnapshotStore, hook: Option<PreWriteHook
                 slot = shared.ready.wait(slot).unwrap_or_else(|p| p.into_inner());
             }
         };
-        if let Some(hook) = &hook {
-            hook(writes);
-        }
-        writes += 1;
         let result = store.write(&job);
         let mut slot = shared.lock();
         slot.writing = false;
@@ -267,23 +248,6 @@ mod tests {
         let store = temp_store("idle");
         let w = BackgroundWriter::spawn(store.clone()).unwrap();
         assert!(w.flush(Duration::from_millis(10)));
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn pre_write_hook_runs_on_the_writer_thread_per_write() {
-        let store = temp_store("hook");
-        let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let seen_hook = Arc::clone(&seen);
-        let hook: PreWriteHook = Box::new(move |i| {
-            seen_hook.lock().unwrap().push(i);
-        });
-        let w = BackgroundWriter::spawn_with_hook(Arc::clone(&store), Some(hook)).unwrap();
-        w.submit(sections(1));
-        assert!(w.flush(Duration::from_secs(10)));
-        w.submit(sections(2));
-        assert!(w.flush(Duration::from_secs(10)));
-        assert_eq!(*seen.lock().unwrap(), vec![0, 1]);
         let _ = fs::remove_dir_all(store.dir());
     }
 }

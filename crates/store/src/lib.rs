@@ -49,7 +49,7 @@ pub mod codec;
 pub mod store;
 pub mod wal;
 
-pub use bg::{BackgroundWriter, BgWriterStats, PreWriteHook};
+pub use bg::{BackgroundWriter, BgWriterStats};
 pub use codec::{crc32, ByteReader, ByteWriter, CodecError};
 pub use store::{Recovery, Section, SnapshotStore, StoreError, Written, FORMAT_VERSION, MAGIC};
 pub use wal::{FsyncPolicy, Wal, WalOptions, WalRecord, WalRecovery, WalStats};
