@@ -3,7 +3,7 @@
 //! A [`Checkpoint`] captures everything the engine needs to re-enter the
 //! stratified semi-naive loop exactly where it stopped: the partial IDB,
 //! the evaluation cursor (stratum index, iteration counts, free-extension
-//! bookkeeping, the semi-naive delta), aggregate statistics, a snapshot of
+//! safety counters, the semi-naive delta), aggregate statistics, a snapshot of
 //! the governor's counters (so operators can size resume budgets), and
 //! content hashes of the normalized program and the EDB so a checkpoint
 //! written for a different program or database is rejected with a typed
@@ -30,11 +30,8 @@ use itdb_lrp::{
     Bound, DataValue, Dbm, Error, GeneralizedRelation, GeneralizedTuple, GovernorStats, Lrp,
     Schema, Zone,
 };
-use itdb_store::{
-    BackgroundWriter, ByteReader, ByteWriter, CodecError, Section, SnapshotStore, StoreError,
-    Written,
-};
-use std::collections::{BTreeMap, BTreeSet};
+use itdb_store::{ByteReader, ByteWriter, CodecError, Section, SnapshotStore, StoreError, Written};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -45,14 +42,10 @@ pub const SEC_META: u8 = 1;
 pub const SEC_IDB: u8 = 2;
 /// Section tag: the semi-naive delta of the in-flight stratum.
 pub const SEC_DELTA: u8 = 3;
-/// Section tag: free-extension keys per predicate.
-pub const SEC_FEKEYS: u8 = 4;
-/// Section tag: aggregate and per-stratum statistics.
+/// Section tag: aggregate and per-stratum statistics. (Tag 4 carried
+/// free-extension keys in older generations; decoding ignores it, because
+/// the keys are exactly those of the restored IDB.)
 pub const SEC_STATS: u8 = 5;
-
-/// The free-extension key of a generalized tuple: canonical lrp vector
-/// plus data vector (Theorem 4.2 bookkeeping).
-pub type FeKey = (Vec<Lrp>, Vec<DataValue>);
 
 /// Why a checkpoint could not be saved, loaded, or accepted for resume.
 #[derive(Debug)]
@@ -126,7 +119,7 @@ impl From<CheckpointError> for Error {
 }
 
 /// When the engine writes checkpoints.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
     /// Where snapshots go.
     pub store: Arc<SnapshotStore>,
@@ -136,25 +129,6 @@ pub struct CheckpointPolicy {
     /// Write a checkpoint when the governor trips, preserving the partial
     /// fixpoint the trip would otherwise strand in memory.
     pub on_trip: bool,
-    /// When set, checkpoint images are handed to this background writer
-    /// instead of being fsynced on the evaluation thread: the hot path
-    /// pays encoding only, and bursts coalesce to the newest snapshot.
-    /// The `checkpoint_written` trace event is skipped in this mode (the
-    /// durable write happens on the writer thread, which carries no trace
-    /// sink); consult [`BackgroundWriter::stats`] instead. Callers that
-    /// need the image on disk (graceful shutdown) should flush the writer.
-    pub background: Option<Arc<BackgroundWriter>>,
-}
-
-impl fmt::Debug for CheckpointPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CheckpointPolicy")
-            .field("store", &self.store)
-            .field("every_iterations", &self.every_iterations)
-            .field("on_trip", &self.on_trip)
-            .field("background", &self.background.is_some())
-            .finish()
-    }
 }
 
 impl CheckpointPolicy {
@@ -164,7 +138,6 @@ impl CheckpointPolicy {
             store,
             every_iterations: None,
             on_trip: true,
-            background: None,
         }
     }
 
@@ -174,15 +147,7 @@ impl CheckpointPolicy {
             store,
             every_iterations: (n > 0).then_some(n),
             on_trip: true,
-            background: None,
         }
-    }
-
-    /// Moves this policy's writes onto `writer` (see
-    /// [`CheckpointPolicy::background`]).
-    pub fn with_background(mut self, writer: Arc<BackgroundWriter>) -> Self {
-        self.background = Some(writer);
-        self
     }
 }
 
@@ -234,8 +199,6 @@ pub struct Checkpoint {
     pub idb: BTreeMap<String, GeneralizedRelation>,
     /// The semi-naive frontier of the in-flight stratum.
     pub delta: BTreeMap<String, GeneralizedRelation>,
-    /// Free-extension keys observed per intensional predicate.
-    pub fe_keys: BTreeMap<String, BTreeSet<FeKey>>,
     /// Governor counters at checkpoint time (fuel used, tuples held,
     /// elapsed ms) — lets operators size the resume budget.
     pub governor: GovernorStats,
@@ -512,20 +475,6 @@ impl Checkpoint {
         let mut delta = ByteWriter::new();
         put_relations(&mut delta, &self.delta);
 
-        let mut fe = ByteWriter::new();
-        fe.put_usize(self.fe_keys.len());
-        for (pred, keys) in &self.fe_keys {
-            fe.put_str(pred);
-            fe.put_usize(keys.len());
-            for (lrps, data) in keys {
-                put_lrps(&mut fe, lrps);
-                fe.put_usize(data.len());
-                for v in data {
-                    put_data_value(&mut fe, v);
-                }
-            }
-        }
-
         let mut stats = ByteWriter::new();
         stats.put_u64(self.tuples_derived);
         stats.put_u64(self.tuples_inserted);
@@ -545,7 +494,6 @@ impl Checkpoint {
             Section::new(SEC_META, meta.into_bytes()),
             Section::new(SEC_IDB, idb.into_bytes()),
             Section::new(SEC_DELTA, delta.into_bytes()),
-            Section::new(SEC_FEKEYS, fe.into_bytes()),
             Section::new(SEC_STATS, stats.into_bytes()),
         ]
     }
@@ -587,25 +535,6 @@ impl Checkpoint {
         let mut r = ByteReader::new(&find(SEC_DELTA)?.payload);
         let delta = get_relations(&mut r)?;
 
-        let mut r = ByteReader::new(&find(SEC_FEKEYS)?.payload);
-        let n = r.get_usize()?;
-        let mut fe_keys: BTreeMap<String, BTreeSet<FeKey>> = BTreeMap::new();
-        for _ in 0..n {
-            let pred = r.get_str()?;
-            let count = r.get_usize()?;
-            let mut keys = BTreeSet::new();
-            for _ in 0..count {
-                let lrps = get_lrps(&mut r)?;
-                let dn = r.get_usize()?;
-                let mut data = Vec::with_capacity(dn.min(1024));
-                for _ in 0..dn {
-                    data.push(get_data_value(&mut r)?);
-                }
-                keys.insert((lrps, data));
-            }
-            fe_keys.insert(pred, keys);
-        }
-
         let mut r = ByteReader::new(&find(SEC_STATS)?.payload);
         let tuples_derived = r.get_u64()?;
         let tuples_inserted = r.get_u64()?;
@@ -638,7 +567,6 @@ impl Checkpoint {
             last_growing,
             idb,
             delta,
-            fe_keys,
             governor,
             tuples_derived,
             tuples_inserted,
@@ -739,12 +667,6 @@ mod tests {
         db.insert_parsed("q", "(6n+1)").unwrap();
         let idb: BTreeMap<String, GeneralizedRelation> =
             db.iter().map(|(n, r)| (n.to_string(), r.clone())).collect();
-        let mut fe_keys = BTreeMap::new();
-        let mut keys = BTreeSet::new();
-        for t in idb["p"].tuples() {
-            keys.insert(t.free_extension_key());
-        }
-        fe_keys.insert("p".to_string(), keys);
         Checkpoint {
             generation: None,
             program_hash: 0xDEAD_BEEF_0123_4567_89AB_CDEF_0011_2233,
@@ -757,7 +679,6 @@ mod tests {
             last_growing: vec!["p".into()],
             delta: idb.clone(),
             idb,
-            fe_keys,
             governor: Governor::unlimited().stats(),
             tuples_derived: 100,
             tuples_inserted: 40,
@@ -771,26 +692,47 @@ mod tests {
         }
     }
 
+    /// The free-extension-key section older generations carried under
+    /// tag 4: one predicate `p` with one key.
+    fn legacy_fe_keys_section() -> Section {
+        let mut w = ByteWriter::new();
+        w.put_usize(1);
+        w.put_str("p");
+        w.put_usize(1);
+        put_lrps(
+            &mut w,
+            &[Lrp::new(24, 10).unwrap(), Lrp::new(24, 12).unwrap()],
+        );
+        w.put_usize(1);
+        put_data_value(&mut w, &DataValue::sym("a"));
+        Section::new(4, w.into_bytes())
+    }
+
+    /// Round trip of a fresh encoding, and of a generation written when
+    /// checkpoints still carried the tag-4 section: decoding skips it.
     #[test]
     fn encode_decode_round_trips() {
         let cp = sample_checkpoint();
-        let decoded = Checkpoint::decode(&cp.encode()).unwrap();
-        assert_eq!(decoded.program_hash, cp.program_hash);
-        assert_eq!(decoded.edb_hash, cp.edb_hash);
-        assert_eq!(decoded.stratum, cp.stratum);
-        assert_eq!(decoded.iteration, cp.iteration);
-        assert_eq!(decoded.stratum_iter, cp.stratum_iter);
-        assert_eq!(decoded.fe_safe_at, cp.fe_safe_at);
-        assert_eq!(decoded.fe_safe_streak, cp.fe_safe_streak);
-        assert_eq!(decoded.last_growing, cp.last_growing);
-        assert_eq!(decoded.fe_keys, cp.fe_keys);
-        assert_eq!(decoded.governor, cp.governor);
-        assert_eq!(decoded.strata, cp.strata);
-        assert_eq!(decoded.idb.len(), cp.idb.len());
-        for (name, rel) in &cp.idb {
-            let d = &decoded.idb[name];
-            assert_eq!(d.len(), rel.len());
-            assert!(d.equivalent(rel, itdb_lrp::DEFAULT_RESIDUE_BUDGET).unwrap());
+        let mut legacy = cp.encode();
+        legacy.insert(3, legacy_fe_keys_section());
+        for sections in [cp.encode(), legacy] {
+            let decoded = Checkpoint::decode(&sections).unwrap();
+            assert_eq!(decoded.program_hash, cp.program_hash);
+            assert_eq!(decoded.edb_hash, cp.edb_hash);
+            assert_eq!(decoded.stratum, cp.stratum);
+            assert_eq!(decoded.iteration, cp.iteration);
+            assert_eq!(decoded.stratum_iter, cp.stratum_iter);
+            assert_eq!(decoded.fe_safe_at, cp.fe_safe_at);
+            assert_eq!(decoded.fe_safe_streak, cp.fe_safe_streak);
+            assert_eq!(decoded.last_growing, cp.last_growing);
+            assert_eq!(decoded.governor, cp.governor);
+            assert_eq!(decoded.strata, cp.strata);
+            assert_eq!(decoded.idb.len(), cp.idb.len());
+            for (name, rel) in &cp.idb {
+                let d = &decoded.idb[name];
+                assert_eq!(d.len(), rel.len());
+                assert!(d.equivalent(rel, itdb_lrp::DEFAULT_RESIDUE_BUDGET).unwrap());
+            }
         }
     }
 

@@ -40,7 +40,7 @@
 
 use crate::analyze::{analyze, ProgramInfo};
 use crate::ast::{CmpOp, DataTerm, Program};
-use crate::checkpoint::{Checkpoint, CheckpointPolicy, CheckpointReport, FeKey, SavedStratum};
+use crate::checkpoint::{Checkpoint, CheckpointPolicy, CheckpointReport, SavedStratum};
 use crate::db::Database;
 use crate::normalize::{normalize_program, NormAtom, NormClause, NormConstraint};
 use itdb_lrp::{
@@ -553,25 +553,8 @@ fn evaluate_governed_impl(
     let _eval_span = itdb_trace::span(itdb_trace::SpanKind::Evaluate, "evaluate");
     let eval_start = Instant::now();
     let counters_before = itdb_lrp::stats::snapshot();
-    // Counters accumulated on worker threads (each worker's thread-local
-    // cells are scoped with `stats::take()` and folded here at barriers);
-    // added to the coordinator's own delta at the end.
-    let mut worker_counters = itdb_lrp::stats::Counters::default();
-    let workers = opts.parallel.max(1);
-    let mut stats = EvalStats::default();
     let info = analyze(program)?;
-    // Rule identity for spans, events, and provenance: one label per
-    // *source* clause, so indices stay stable across dead-clause filtering.
-    let rule_labels: Vec<String> = program
-        .clauses
-        .iter()
-        .enumerate()
-        .map(|(i, c)| format!("r{i}: {c}"))
-        .collect();
-    // Source facts are cloned per derivation only when someone will read
-    // them: the provenance recorder or an installed trace sink.
-    let collect_sources = opts.provenance || itdb_trace::enabled();
-    let mut derivations: Vec<Derivation> = Vec::new();
+    let rule_labels = rule_labels(program);
     // Validate the EDB up front (missing extensional relations are treated
     // as empty, mismatched schemas are errors).
     for pred in &info.extensional {
@@ -584,17 +567,12 @@ fn evaluate_governed_impl(
     // different program or EDB; computed (over *all* normalized clauses,
     // before dead-clause filtering) only when a checkpoint will be
     // written or consumed.
-    let need_hashes = opts.checkpoint.is_some() || resume.is_some();
-    let program_hash = if need_hashes {
-        crate::checkpoint::hash_program(&all_clauses)
-    } else {
-        0
-    };
-    let edb_hash = if need_hashes {
-        crate::checkpoint::hash_database(edb)
-    } else {
-        0
-    };
+    let hashes = (opts.checkpoint.is_some() || resume.is_some()).then(|| {
+        (
+            crate::checkpoint::hash_program(&all_clauses),
+            crate::checkpoint::hash_database(edb),
+        )
+    });
     let clauses: Vec<NormClause> = all_clauses.into_iter().filter(|c| !c.dead).collect();
 
     let mut idb: BTreeMap<String, GeneralizedRelation> = info
@@ -602,31 +580,10 @@ fn evaluate_governed_impl(
         .iter()
         .map(|p| (p.clone(), GeneralizedRelation::empty(info.signatures[p])))
         .collect();
-    let empty_relations: BTreeMap<String, GeneralizedRelation> = info
-        .signatures
-        .iter()
-        .map(|(p, s)| (p.clone(), GeneralizedRelation::empty(*s)))
-        .collect();
-
-    // Free-extension bookkeeping: canonical lrp vectors + data per pred.
-    type FeKey = (Vec<Lrp>, Vec<DataValue>);
-    let mut fe_keys: BTreeMap<&str, BTreeSet<FeKey>> = BTreeMap::new();
-    let mut fe_safe_at: Option<usize> = None;
-
-    let mut trace = Vec::new();
-    let mut outcome = None;
-    let mut iteration = 0usize;
-    // Predicates that inserted tuples in the most recent productive
-    // iteration — named in trip diagnostics as "still growing".
-    let mut last_growing: Vec<String> = Vec::new();
-
-    let mut report = CheckpointReport::default();
-    // Cursor of the in-flight stratum restored from a checkpoint:
-    // (stratum index, completed stratum iterations, fe-safe streak, the
-    // semi-naive delta to re-enter with).
-    let mut resume_cursor: Option<(usize, usize, usize, BTreeMap<String, GeneralizedRelation>)> =
-        None;
+    let mut st = RunState::default();
+    let mut cursor = None;
     if let Some(c) = resume {
+        let (program_hash, edb_hash) = hashes.unwrap_or_default();
         c.validate(program_hash, edb_hash).map_err(Error::from)?;
         for (pred, rel) in &c.idb {
             match idb.get_mut(pred) {
@@ -638,391 +595,34 @@ fn evaluate_governed_impl(
                 }
             }
         }
-        for (pred, keys) in &c.fe_keys {
-            fe_keys.insert(pred_key(&info, pred)?, keys.clone());
-        }
-        iteration = c.iteration;
-        fe_safe_at = c.fe_safe_at;
-        last_growing = c.last_growing.clone();
-        let restored = c.restore_stats();
-        stats.tuples_derived = restored.tuples_derived;
-        stats.tuples_inserted = restored.tuples_inserted;
-        stats.tuples_subsumed = restored.tuples_subsumed;
-        stats.strata = restored.strata;
-        report.resumed_from = c.generation;
+        st.iteration = c.iteration;
+        st.fe_safe_at = c.fe_safe_at;
+        st.last_growing = c.last_growing.clone();
+        st.stats = c.restore_stats();
+        st.report.resumed_from = c.generation;
         itdb_trace::emit(|| itdb_trace::EventKind::CheckpointRestored {
             generation: c.generation.unwrap_or(0),
             stratum: c.stratum as u64,
             iteration: c.iteration as u64,
         });
-        resume_cursor = Some((c.stratum, c.stratum_iter, c.fe_safe_streak, c.delta.clone()));
-    }
-
-    // Strata run lowest first; within a stratum the usual (semi-)naive
-    // fixpoint applies, with lower strata and the EDB acting as stable
-    // inputs. Negated atoms always refer to stable inputs (stratified), so
-    // their subtraction semantics is exact.
-    'strata: for (stratum_idx, stratum) in info.strata.iter().enumerate() {
-        // Strata fully completed before the checkpoint's cursor are
-        // already in the restored IDB — don't re-run them.
-        if resume_cursor.as_ref().is_some_and(|c| stratum_idx < c.0) {
-            continue;
-        }
-        let _stratum_span = itdb_trace::span_with(itdb_trace::SpanKind::Stratum, || {
-            format!("stratum {stratum_idx}")
+        cursor = Some(Cursor {
+            stratum: c.stratum,
+            stratum_iter: c.stratum_iter,
+            fe_safe_streak: c.fe_safe_streak,
+            delta: c.delta.clone(),
         });
-        let stratum_start = Instant::now();
-        // A resumed run restored statistics for every stratum up to and
-        // including the cursor's; only strata beyond it need fresh rows.
-        if stats.strata.len() <= stratum_idx {
-            stats.strata.push(StratumStats {
-                preds: stratum.iter().cloned().collect(),
-                ..StratumStats::default()
-            });
-        }
-        let stratum_preds: Vec<&str> = stratum.iter().map(|s| s.as_str()).collect();
-        let stratum_clauses: Vec<&NormClause> = clauses
-            .iter()
-            .filter(|c| stratum.contains(&c.head_pred))
-            .collect();
-        let mut fe_safe_streak = 0usize;
-        let mut stratum_iter = 0usize;
-        let mut delta: BTreeMap<String, GeneralizedRelation> = BTreeMap::new();
-        if resume_cursor.as_ref().is_some_and(|c| c.0 == stratum_idx) {
-            if let Some((_, si, streak, d)) = resume_cursor.take() {
-                stratum_iter = si;
-                fe_safe_streak = streak;
-                delta = d;
-            }
-        }
-
-        loop {
-            if let Err(e) = governor.start_iteration() {
-                outcome = Some(interrupted_outcome(
-                    as_trip(e)?,
-                    fe_safe_at,
-                    iteration,
-                    last_growing.clone(),
-                    governor.stats(),
-                ));
-                maybe_checkpoint(
-                    opts,
-                    true,
-                    CheckpointCursor {
-                        program_hash,
-                        edb_hash,
-                        stratum: stratum_idx,
-                        iteration,
-                        stratum_iter,
-                        fe_safe_at,
-                        fe_safe_streak,
-                    },
-                    &last_growing,
-                    &idb,
-                    &delta,
-                    None,
-                    &fe_keys,
-                    governor,
-                    &stats,
-                    &mut report,
-                );
-                break 'strata;
-            }
-            iteration += 1;
-            stratum_iter += 1;
-            // Free-extension values as of the start of this iteration —
-            // redo checkpoints (written when a trip strikes mid-iteration)
-            // rewind to them alongside the iteration counters.
-            let iter_start_fe = (fe_safe_at, fe_safe_streak);
-            let _iter_span = itdb_trace::span_with(itdb_trace::SpanKind::Iteration, || {
-                format!("iteration {iteration}")
-            });
-            let mut derived: Vec<Pending> = Vec::new();
-            let mut trip: Option<TripReason> = None;
-
-            if workers > 1 {
-                // Sharded path: fire every (clause, delta-position) unit
-                // across the worker pool against the immutable snapshot,
-                // rendezvous, and receive the derived tuples in sequential
-                // emission order (see `crate::parallel`). The merge below
-                // is shared with the sequential path and stays
-                // single-writer.
-                let ctx = crate::parallel::DeriveCtx {
-                    clauses: &stratum_clauses,
-                    stratum_preds: &stratum_preds,
-                    idb: &idb,
-                    delta: &delta,
-                    edb,
-                    empty: &empty_relations,
-                    info: &info,
-                    rule_labels: &rule_labels,
-                    seminaive_pass: opts.seminaive && stratum_iter > 1,
-                    residue_budget: opts.residue_budget,
-                    use_index: opts.use_index,
-                    collect_sources,
-                };
-                match crate::parallel::derive_parallel(
-                    &ctx,
-                    workers,
-                    governor,
-                    &mut worker_counters,
-                ) {
-                    Ok(d) => derived = d,
-                    Err(e) => trip = Some(as_trip(e)?),
-                }
-            } else {
-                derive_sequential(
-                    &stratum_clauses,
-                    &stratum_preds,
-                    &idb,
-                    &delta,
-                    edb,
-                    &empty_relations,
-                    &info,
-                    &rule_labels,
-                    opts,
-                    stratum_iter,
-                    collect_sources,
-                    &mut derived,
-                    &mut trip,
-                )?;
-            }
-            if let Some(reason) = trip {
-                // Tripped mid-derivation: abandon this iteration's derived
-                // tuples; the model is exactly the last completed
-                // iteration's (sound). The checkpoint cursor points at the
-                // last completed iteration (redo semantics).
-                outcome = Some(interrupted_outcome(
-                    reason,
-                    fe_safe_at,
-                    iteration,
-                    last_growing.clone(),
-                    governor.stats(),
-                ));
-                maybe_checkpoint(
-                    opts,
-                    true,
-                    CheckpointCursor {
-                        program_hash,
-                        edb_hash,
-                        stratum: stratum_idx,
-                        iteration: iteration - 1,
-                        stratum_iter: stratum_iter - 1,
-                        fe_safe_at: iter_start_fe.0,
-                        fe_safe_streak: iter_start_fe.1,
-                    },
-                    &last_growing,
-                    &idb,
-                    &delta,
-                    None,
-                    &fe_keys,
-                    governor,
-                    &stats,
-                    &mut report,
-                );
-                break 'strata;
-            }
-
-            // Insert with subsumption; track free-extension growth.
-            let mut inserted = Vec::new();
-            let mut subsumed = Vec::new();
-            let mut new_fe_key = false;
-            let mut next_delta: BTreeMap<String, GeneralizedRelation> = BTreeMap::new();
-            stats.tuples_derived += derived.len() as u64;
-            for Pending {
-                pred,
-                rule,
-                tuple,
-                sources,
-            } in derived
-            {
-                itdb_trace::emit(|| itdb_trace::EventKind::TupleDerived {
-                    pred: pred.clone(),
-                    rule,
-                });
-                let Some(tuple) = tuple.canonical() else {
-                    continue;
-                };
-                let rel = idb.get_mut(&pred).ok_or_else(|| {
-                    Error::Eval(format!(
-                        "internal: derived tuple for non-intensional predicate {pred}"
-                    ))
-                })?;
-                let ins = if opts.use_index {
-                    rel.insert_if_new(tuple.clone(), opts.residue_budget)
-                } else {
-                    rel.insert_if_new_naive(tuple.clone(), opts.residue_budget)
-                };
-                match ins {
-                    Ok(true) => {
-                        itdb_trace::emit(|| itdb_trace::EventKind::TupleInserted {
-                            pred: pred.clone(),
-                            rule,
-                            tuple: tuple.to_string(),
-                            sources: sources
-                                .iter()
-                                .map(|(p, t)| itdb_trace::SourceFact {
-                                    pred: p.clone(),
-                                    tuple: t.to_string(),
-                                })
-                                .collect(),
-                        });
-                        if opts.provenance {
-                            derivations.push(Derivation {
-                                pred: pred.clone(),
-                                tuple: tuple.clone(),
-                                rule,
-                                sources,
-                            });
-                        }
-                        let keys = fe_keys.entry(pred_key(&info, &pred)?).or_default();
-                        if keys.insert(tuple.free_extension_key()) {
-                            new_fe_key = true;
-                        }
-                        next_delta
-                            .entry(pred.clone())
-                            .or_insert_with(|| GeneralizedRelation::empty(info.signatures[&pred]))
-                            .insert(tuple.clone())?;
-                        inserted.push((pred, tuple));
-                        if let Err(e) = governor.note_derived(1) {
-                            trip = Some(as_trip(e)?);
-                            break;
-                        }
-                    }
-                    Ok(false) => {
-                        itdb_trace::emit(|| itdb_trace::EventKind::TupleSubsumed {
-                            pred: pred.clone(),
-                            rule,
-                            tuple: tuple.to_string(),
-                        });
-                        subsumed.push((pred, tuple));
-                    }
-                    Err(e) => {
-                        trip = Some(as_trip(e)?);
-                        break;
-                    }
-                }
-            }
-            if trip.is_none() {
-                let held: u64 = idb.values().map(|r| r.len() as u64).sum();
-                if let Err(e) = governor.report_held(held) {
-                    trip = Some(as_trip(e)?);
-                }
-            }
-            stats.tuples_inserted += inserted.len() as u64;
-            stats.tuples_subsumed += subsumed.len() as u64;
-            if let Some(s) = stats.strata.last_mut() {
-                s.iterations = stratum_iter;
-                s.inserted += inserted.len() as u64;
-                s.elapsed = stratum_start.elapsed();
-            }
-
-            if new_fe_key {
-                fe_safe_at = None;
-                fe_safe_streak = 0;
-            } else {
-                if fe_safe_at.is_none() {
-                    fe_safe_at = Some(iteration);
-                }
-                fe_safe_streak += 1;
-            }
-
-            let fixpoint = inserted.is_empty();
-            if !fixpoint {
-                let mut preds: Vec<String> = inserted.iter().map(|(p, _)| p.clone()).collect();
-                preds.sort();
-                preds.dedup();
-                last_growing = preds;
-            }
-            if opts.trace {
-                trace.push(IterationTrace {
-                    iteration,
-                    inserted,
-                    subsumed,
-                });
-            }
-            if let Some(reason) = trip {
-                outcome = Some(interrupted_outcome(
-                    reason,
-                    fe_safe_at,
-                    iteration,
-                    last_growing.clone(),
-                    governor.stats(),
-                ));
-                // Tripped mid-insert: some of this iteration's tuples are
-                // already in the IDB. The redo cursor rewinds the counters
-                // and *widens* the frontier with the partial inserts, so
-                // the redone iteration still propagates their
-                // consequences (re-derivations subsume harmlessly).
-                maybe_checkpoint(
-                    opts,
-                    true,
-                    CheckpointCursor {
-                        program_hash,
-                        edb_hash,
-                        stratum: stratum_idx,
-                        iteration: iteration - 1,
-                        stratum_iter: stratum_iter - 1,
-                        fe_safe_at: iter_start_fe.0,
-                        fe_safe_streak: iter_start_fe.1,
-                    },
-                    &last_growing,
-                    &idb,
-                    &delta,
-                    Some(&next_delta),
-                    &fe_keys,
-                    governor,
-                    &stats,
-                    &mut report,
-                );
-                break 'strata;
-            }
-            if fixpoint {
-                outcome = Some(EvalOutcome::Converged {
-                    iterations: iteration,
-                });
-                last_growing.clear(); // this stratum settled
-                break; // next stratum
-            }
-            if fe_safe_streak > opts.grace_after_fe_safety {
-                outcome = Some(EvalOutcome::DivergedAfterFeSafety {
-                    // The else-branch above set this before starting the streak.
-                    fe_safe_at: fe_safe_at.unwrap_or(iteration),
-                    iterations: iteration,
-                });
-                break 'strata;
-            }
-            delta = next_delta;
-            // Every-N cadence: this point is reached only between
-            // completed iterations, so the cursor needs no rewinding.
-            maybe_checkpoint(
-                opts,
-                false,
-                CheckpointCursor {
-                    program_hash,
-                    edb_hash,
-                    stratum: stratum_idx,
-                    iteration,
-                    stratum_iter,
-                    fe_safe_at,
-                    fe_safe_streak,
-                },
-                &last_growing,
-                &idb,
-                &delta,
-                None,
-                &fe_keys,
-                governor,
-                &stats,
-                &mut report,
-            );
-        }
     }
 
-    // All strata converged (or there were none at all).
-    let outcome = outcome.unwrap_or(EvalOutcome::Converged {
-        iterations: iteration,
-    });
+    let fixpoint = Fixpoint {
+        info: &info,
+        clauses: &clauses,
+        rule_labels: &rule_labels,
+        edb,
+        opts,
+        governor,
+        hashes,
+    };
+    let outcome = fixpoint.run(&mut idb, &mut st, None, None, cursor)?;
 
     if opts.coalesce && !matches!(outcome, EvalOutcome::Interrupted(_)) {
         for rel in idb.values_mut() {
@@ -1036,26 +636,559 @@ fn evaluate_governed_impl(
         }
     }
 
-    stats.counters = (itdb_lrp::stats::snapshot() - counters_before) + worker_counters;
-    stats.elapsed = eval_start.elapsed();
+    st.stats.counters = (itdb_lrp::stats::snapshot() - counters_before) + st.worker_counters;
+    st.stats.elapsed = eval_start.elapsed();
 
     Ok(Evaluation {
         idb,
         outcome,
-        fe_safe_at,
-        trace,
+        fe_safe_at: st.fe_safe_at,
+        trace: st.trace,
         info,
-        stats,
-        derivations,
+        stats: st.stats,
+        derivations: st.derivations,
         rule_labels,
-        checkpoints: report,
+        checkpoints: st.report,
     })
+}
+
+/// One label per source-program clause (`r{i}: <clause>`): rule identity
+/// for spans, events and provenance, stable across dead-clause filtering.
+pub(crate) fn rule_labels(program: &Program) -> Vec<String> {
+    program
+        .clauses
+        .iter()
+        .enumerate()
+        .map(|(i, c)| format!("r{i}: {c}"))
+        .collect()
+}
+
+/// The free-extension key of a tuple: canonical lrp vector plus data
+/// (Theorem 4.2 bookkeeping).
+type FeKey = (Vec<Lrp>, Vec<DataValue>);
+
+/// The stratified semi-naive loop of `T_GP`, with the free-extension grace
+/// rule, every governor budget, per-tuple trace events, provenance,
+/// parallel derive and the checkpoint sites. It is the crate's one
+/// fixpoint loop: fresh and resumed evaluation run it from an empty or
+/// restored IDB, and [`crate::resident`] re-enters it for every
+/// maintenance batch from the maintained IDB.
+pub(crate) struct Fixpoint<'a> {
+    /// Static analysis of the program.
+    pub(crate) info: &'a ProgramInfo,
+    /// The program's live (non-dead) normalized clauses.
+    pub(crate) clauses: &'a [NormClause],
+    /// One label per source clause (see [`rule_labels`]).
+    pub(crate) rule_labels: &'a [String],
+    /// The extensional database: stable input to every stratum.
+    pub(crate) edb: &'a Database,
+    /// Evaluation options (residue budget, index, provenance, trace,
+    /// grace, parallelism, checkpoint policy).
+    pub(crate) opts: &'a EvalOptions,
+    /// Authoritative for every resource budget.
+    pub(crate) governor: &'a Arc<Governor>,
+    /// Program and EDB content hashes stamped on checkpoints. `None`
+    /// writes none, whatever `opts.checkpoint` says.
+    pub(crate) hashes: Option<(u128, u128)>,
+}
+
+/// What a [`Fixpoint`] run accumulates. A resumed run starts from the
+/// checkpoint's values; every other run starts from the default.
+#[derive(Default)]
+pub(crate) struct RunState {
+    /// Global iterations of `T_GP` started so far.
+    pub(crate) iteration: usize,
+    /// Iteration at which free-extension safety was last observed.
+    pub(crate) fe_safe_at: Option<usize>,
+    /// Predicates that inserted tuples in the most recent productive
+    /// iteration — named in trip diagnostics as "still growing".
+    pub(crate) last_growing: Vec<String>,
+    /// Tuple flow and per-stratum rows (one per stratum run).
+    pub(crate) stats: EvalStats,
+    /// Per-iteration trace, when [`EvalOptions::trace`] is on.
+    pub(crate) trace: Vec<IterationTrace>,
+    /// Provenance records, when [`EvalOptions::provenance`] is on.
+    pub(crate) derivations: Vec<Derivation>,
+    /// What checkpointing did.
+    pub(crate) report: CheckpointReport,
+    /// `itdb-lrp` counters folded from parallel workers.
+    pub(crate) worker_counters: itdb_lrp::stats::Counters,
+}
+
+/// Where a resumed run re-enters the loop: the in-flight stratum, its
+/// completed iterations and fe-safe streak, and the delta to fire from.
+pub(crate) struct Cursor {
+    stratum: usize,
+    stratum_iter: usize,
+    fe_safe_streak: usize,
+    delta: BTreeMap<String, GeneralizedRelation>,
+}
+
+impl Fixpoint<'_> {
+    /// Runs the strata lowest first over `idb`. Within a stratum the usual
+    /// (semi-)naive fixpoint applies, with lower strata and the EDB acting
+    /// as stable inputs; negated atoms always refer to stable inputs
+    /// (stratified), so their subtraction semantics is exact.
+    ///
+    /// - `seed = None`: each stratum's first iteration is naive — every
+    ///   clause fires against the full relations.
+    /// - `seed = Some(delta)`: each stratum's first iteration is
+    ///   semi-naive over the body positions whose predicates `delta`
+    ///   holds, and the stratum's inserts are folded into `delta` for the
+    ///   strata above.
+    /// - `only`: fire only clauses whose head it contains, and skip the
+    ///   strata left without any.
+    /// - `resume`: skip the strata below the cursor and re-enter its
+    ///   stratum mid-way.
+    ///
+    /// The free-extension key sets are built from `idb` as each stratum
+    /// starts: relations only grow within a run, so those keys are exactly
+    /// the ones seen so far. A governor trip or divergence returns its
+    /// outcome with `idb` holding the last completed iteration (plus, for
+    /// a trip mid-insert, that iteration's partial inserts) — every tuple
+    /// genuinely derived.
+    pub(crate) fn run(
+        &self,
+        idb: &mut BTreeMap<String, GeneralizedRelation>,
+        st: &mut RunState,
+        mut seed: Option<BTreeMap<String, GeneralizedRelation>>,
+        only: Option<&BTreeSet<String>>,
+        mut resume: Option<Cursor>,
+    ) -> Result<EvalOutcome> {
+        let (opts, governor) = (self.opts, self.governor);
+        let workers = opts.parallel.max(1);
+        // Source facts are cloned per derivation only when someone will
+        // read them: the provenance recorder or an installed trace sink.
+        let collect_sources = opts.provenance || itdb_trace::enabled();
+        let empty_relations: BTreeMap<String, GeneralizedRelation> = self
+            .info
+            .signatures
+            .iter()
+            .map(|(p, s)| (p.clone(), GeneralizedRelation::empty(*s)))
+            .collect();
+
+        for (stratum_idx, stratum) in self.info.strata.iter().enumerate() {
+            // Strata fully completed before the checkpoint's cursor are
+            // already in the restored IDB — don't re-run them.
+            if resume.as_ref().is_some_and(|c| stratum_idx < c.stratum) {
+                continue;
+            }
+            let stratum_clauses: Vec<&NormClause> = self
+                .clauses
+                .iter()
+                .filter(|c| {
+                    stratum.contains(&c.head_pred) && only.is_none_or(|o| o.contains(&c.head_pred))
+                })
+                .collect();
+            if only.is_some() && stratum_clauses.is_empty() {
+                continue;
+            }
+            let _stratum_span = itdb_trace::span_with(itdb_trace::SpanKind::Stratum, || {
+                format!("stratum {stratum_idx}")
+            });
+            let stratum_start = Instant::now();
+            // A resumed run restored statistics for every stratum up to and
+            // including the cursor's; only strata beyond it need fresh rows.
+            if st.stats.strata.len() <= stratum_idx {
+                st.stats.strata.push(StratumStats {
+                    preds: stratum.iter().cloned().collect(),
+                    ..StratumStats::default()
+                });
+            }
+            let stratum_preds: Vec<&str> = stratum.iter().map(|s| s.as_str()).collect();
+            let mut fe_keys: BTreeMap<&str, BTreeSet<FeKey>> = stratum_preds
+                .iter()
+                .map(|&p| {
+                    let keys = idb.get(p).map_or_else(BTreeSet::new, |rel| {
+                        rel.tuples()
+                            .iter()
+                            .map(|t| t.free_extension_key())
+                            .collect()
+                    });
+                    (p, keys)
+                })
+                .collect();
+            let mut fe_safe_streak = 0usize;
+            let mut stratum_iter = 0usize;
+            let mut delta: BTreeMap<String, GeneralizedRelation> = BTreeMap::new();
+            if resume.as_ref().is_some_and(|c| c.stratum == stratum_idx) {
+                if let Some(c) = resume.take() {
+                    stratum_iter = c.stratum_iter;
+                    fe_safe_streak = c.fe_safe_streak;
+                    delta = c.delta;
+                }
+            }
+            if let Some(s) = &seed {
+                delta = s.clone();
+            }
+
+            loop {
+                if let Err(e) = governor.start_iteration() {
+                    let outcome = interrupted_outcome(
+                        as_trip(e)?,
+                        st.fe_safe_at,
+                        st.iteration,
+                        st.last_growing.clone(),
+                        governor.stats(),
+                    );
+                    let at = CheckpointCursor {
+                        stratum: stratum_idx,
+                        iteration: st.iteration,
+                        stratum_iter,
+                        fe_safe_at: st.fe_safe_at,
+                        fe_safe_streak,
+                    };
+                    self.checkpoint(true, at, st, idb, &delta, None);
+                    return Ok(outcome);
+                }
+                st.iteration += 1;
+                stratum_iter += 1;
+                let iteration = st.iteration;
+                // Free-extension values as of the start of this iteration —
+                // redo checkpoints (written when a trip strikes mid-iteration)
+                // rewind to them alongside the iteration counters.
+                let iter_start_fe = (st.fe_safe_at, fe_safe_streak);
+                let _iter_span = itdb_trace::span_with(itdb_trace::SpanKind::Iteration, || {
+                    format!("iteration {iteration}")
+                });
+                // A seeded stratum fires its first iteration from the seed's
+                // predicates; every later semi-naive pass from the stratum's
+                // own previous inserts.
+                let seeded_first = seed.is_some() && stratum_iter == 1;
+                let delta_preds: Vec<&str> = if seeded_first {
+                    delta.keys().map(|p| p.as_str()).collect()
+                } else {
+                    stratum_preds.clone()
+                };
+                let ctx = DeriveCtx {
+                    clauses: &stratum_clauses,
+                    delta_preds: &delta_preds,
+                    idb,
+                    delta: &delta,
+                    edb: self.edb,
+                    empty: &empty_relations,
+                    info: self.info,
+                    rule_labels: self.rule_labels,
+                    seminaive_pass: seeded_first || (opts.seminaive && stratum_iter > 1),
+                    residue_budget: opts.residue_budget,
+                    use_index: opts.use_index,
+                    collect_sources,
+                };
+                // The sharded path fires every (clause, delta-position) unit
+                // across the worker pool against the immutable snapshot and
+                // returns the derived tuples in sequential emission order
+                // (see `crate::parallel`); the merge below stays
+                // single-writer either way.
+                let fired = if workers > 1 {
+                    crate::parallel::derive_parallel(
+                        &ctx,
+                        workers,
+                        governor,
+                        &mut st.worker_counters,
+                    )
+                } else {
+                    derive_sequential(&ctx)
+                };
+                let derived = match fired {
+                    Ok(d) => d,
+                    Err(e) => {
+                        // Tripped mid-derivation: abandon this iteration's
+                        // derived tuples; the model is exactly the last
+                        // completed iteration's (sound). The checkpoint
+                        // cursor points at the last completed iteration
+                        // (redo semantics).
+                        let outcome = interrupted_outcome(
+                            as_trip(e)?,
+                            st.fe_safe_at,
+                            iteration,
+                            st.last_growing.clone(),
+                            governor.stats(),
+                        );
+                        let at = CheckpointCursor {
+                            stratum: stratum_idx,
+                            iteration: iteration - 1,
+                            stratum_iter: stratum_iter - 1,
+                            fe_safe_at: iter_start_fe.0,
+                            fe_safe_streak: iter_start_fe.1,
+                        };
+                        self.checkpoint(true, at, st, idb, &delta, None);
+                        return Ok(outcome);
+                    }
+                };
+
+                // Insert with subsumption; track free-extension growth.
+                let mut trip: Option<TripReason> = None;
+                let mut inserted = Vec::new();
+                let mut subsumed = Vec::new();
+                let mut new_fe_key = false;
+                let mut next_delta: BTreeMap<String, GeneralizedRelation> = BTreeMap::new();
+                st.stats.tuples_derived += derived.len() as u64;
+                for Pending {
+                    pred,
+                    rule,
+                    tuple,
+                    sources,
+                } in derived
+                {
+                    itdb_trace::emit(|| itdb_trace::EventKind::TupleDerived {
+                        pred: pred.clone(),
+                        rule,
+                    });
+                    let Some(tuple) = tuple.canonical() else {
+                        continue;
+                    };
+                    let rel = idb.get_mut(&pred).ok_or_else(|| {
+                        Error::Eval(format!(
+                            "internal: derived tuple for non-intensional predicate {pred}"
+                        ))
+                    })?;
+                    let ins = if opts.use_index {
+                        rel.insert_if_new(tuple.clone(), opts.residue_budget)
+                    } else {
+                        rel.insert_if_new_naive(tuple.clone(), opts.residue_budget)
+                    };
+                    match ins {
+                        Ok(true) => {
+                            itdb_trace::emit(|| itdb_trace::EventKind::TupleInserted {
+                                pred: pred.clone(),
+                                rule,
+                                tuple: tuple.to_string(),
+                                sources: sources
+                                    .iter()
+                                    .map(|(p, t)| itdb_trace::SourceFact {
+                                        pred: p.clone(),
+                                        tuple: t.to_string(),
+                                    })
+                                    .collect(),
+                            });
+                            if opts.provenance {
+                                st.derivations.push(Derivation {
+                                    pred: pred.clone(),
+                                    tuple: tuple.clone(),
+                                    rule,
+                                    sources,
+                                });
+                            }
+                            if fe_keys
+                                .get_mut(pred.as_str())
+                                .is_some_and(|keys| keys.insert(tuple.free_extension_key()))
+                            {
+                                new_fe_key = true;
+                            }
+                            next_delta
+                                .entry(pred.clone())
+                                .or_insert_with(|| {
+                                    GeneralizedRelation::empty(self.info.signatures[&pred])
+                                })
+                                .insert(tuple.clone())?;
+                            inserted.push((pred, tuple));
+                            if let Err(e) = governor.note_derived(1) {
+                                trip = Some(as_trip(e)?);
+                                break;
+                            }
+                        }
+                        Ok(false) => {
+                            itdb_trace::emit(|| itdb_trace::EventKind::TupleSubsumed {
+                                pred: pred.clone(),
+                                rule,
+                                tuple: tuple.to_string(),
+                            });
+                            subsumed.push((pred, tuple));
+                        }
+                        Err(e) => {
+                            trip = Some(as_trip(e)?);
+                            break;
+                        }
+                    }
+                }
+                if trip.is_none() {
+                    let held: u64 = idb.values().map(|r| r.len() as u64).sum();
+                    if let Err(e) = governor.report_held(held) {
+                        trip = Some(as_trip(e)?);
+                    }
+                }
+                st.stats.tuples_inserted += inserted.len() as u64;
+                st.stats.tuples_subsumed += subsumed.len() as u64;
+                if let Some(s) = st.stats.strata.last_mut() {
+                    s.iterations = stratum_iter;
+                    s.inserted += inserted.len() as u64;
+                    s.elapsed = stratum_start.elapsed();
+                }
+
+                if new_fe_key {
+                    st.fe_safe_at = None;
+                    fe_safe_streak = 0;
+                } else {
+                    if st.fe_safe_at.is_none() {
+                        st.fe_safe_at = Some(iteration);
+                    }
+                    fe_safe_streak += 1;
+                }
+
+                let fixpoint = inserted.is_empty();
+                if !fixpoint {
+                    let mut preds: Vec<String> = inserted.iter().map(|(p, _)| p.clone()).collect();
+                    preds.sort();
+                    preds.dedup();
+                    st.last_growing = preds;
+                }
+                if opts.trace {
+                    st.trace.push(IterationTrace {
+                        iteration,
+                        inserted,
+                        subsumed,
+                    });
+                }
+                if let Some(reason) = trip {
+                    let outcome = interrupted_outcome(
+                        reason,
+                        st.fe_safe_at,
+                        iteration,
+                        st.last_growing.clone(),
+                        governor.stats(),
+                    );
+                    // Tripped mid-insert: some of this iteration's tuples are
+                    // already in the IDB. The redo cursor rewinds the counters
+                    // and *widens* the frontier with the partial inserts, so
+                    // the redone iteration still propagates their
+                    // consequences (re-derivations subsume harmlessly).
+                    let at = CheckpointCursor {
+                        stratum: stratum_idx,
+                        iteration: iteration - 1,
+                        stratum_iter: stratum_iter - 1,
+                        fe_safe_at: iter_start_fe.0,
+                        fe_safe_streak: iter_start_fe.1,
+                    };
+                    self.checkpoint(true, at, st, idb, &delta, Some(&next_delta));
+                    return Ok(outcome);
+                }
+                if fixpoint {
+                    st.last_growing.clear(); // this stratum settled
+                    break; // next stratum
+                }
+                if fe_safe_streak > opts.grace_after_fe_safety {
+                    return Ok(EvalOutcome::DivergedAfterFeSafety {
+                        // The else-branch above set this before starting the streak.
+                        fe_safe_at: st.fe_safe_at.unwrap_or(iteration),
+                        iterations: iteration,
+                    });
+                }
+                if let Some(acc) = &mut seed {
+                    for (pred, rel) in &next_delta {
+                        let acc_rel = acc
+                            .entry(pred.clone())
+                            .or_insert_with(|| GeneralizedRelation::empty(rel.schema()));
+                        for t in rel.tuples() {
+                            acc_rel.insert(t.clone())?;
+                        }
+                    }
+                }
+                delta = next_delta;
+                // Every-N cadence: this point is reached only between
+                // completed iterations, so the cursor needs no rewinding.
+                let at = CheckpointCursor {
+                    stratum: stratum_idx,
+                    iteration,
+                    stratum_iter,
+                    fe_safe_at: st.fe_safe_at,
+                    fe_safe_streak,
+                };
+                self.checkpoint(false, at, st, idb, &delta, None);
+            }
+        }
+        // All strata converged (or there were none at all).
+        Ok(EvalOutcome::Converged {
+            iterations: st.iteration,
+        })
+    }
+
+    /// Builds and persists a checkpoint when the policy calls for one at
+    /// this site: `trip_site` marks trip-triggered writes, otherwise the
+    /// every-N cadence applies. `extra_delta` widens the saved frontier
+    /// with an interrupted iteration's partial inserts (redo semantics; see
+    /// the [`crate::checkpoint`] module docs). Failures are counted in the
+    /// report and traced — checkpointing never aborts the evaluation.
+    fn checkpoint(
+        &self,
+        trip_site: bool,
+        at: CheckpointCursor,
+        st: &mut RunState,
+        idb: &BTreeMap<String, GeneralizedRelation>,
+        delta: &BTreeMap<String, GeneralizedRelation>,
+        extra_delta: Option<&BTreeMap<String, GeneralizedRelation>>,
+    ) {
+        let (Some(policy), Some((program_hash, edb_hash))) = (&self.opts.checkpoint, self.hashes)
+        else {
+            return;
+        };
+        let due = if trip_site {
+            policy.on_trip
+        } else {
+            policy
+                .every_iterations
+                .is_some_and(|n| n > 0 && (at.iteration as u64).is_multiple_of(n))
+        };
+        if !due {
+            return;
+        }
+        let mut delta_out = delta.clone();
+        if let Some(extra) = extra_delta {
+            for (pred, rel) in extra {
+                let entry = delta_out
+                    .entry(pred.clone())
+                    .or_insert_with(|| GeneralizedRelation::empty(rel.schema()));
+                for t in rel.tuples() {
+                    if entry.insert(t.clone()).is_err() {
+                        st.report.failed += 1;
+                        return;
+                    }
+                }
+            }
+        }
+        let cp = Checkpoint {
+            generation: None,
+            program_hash,
+            edb_hash,
+            stratum: at.stratum,
+            iteration: at.iteration,
+            stratum_iter: at.stratum_iter,
+            fe_safe_at: at.fe_safe_at,
+            fe_safe_streak: at.fe_safe_streak,
+            last_growing: st.last_growing.clone(),
+            idb: idb.clone(),
+            delta: delta_out,
+            governor: self.governor.stats(),
+            tuples_derived: st.stats.tuples_derived,
+            tuples_inserted: st.stats.tuples_inserted,
+            tuples_subsumed: st.stats.tuples_subsumed,
+            strata: st
+                .stats
+                .strata
+                .iter()
+                .map(SavedStratum::from_stats)
+                .collect(),
+        };
+        let start = Instant::now();
+        match cp.save(&policy.store) {
+            Ok(w) => {
+                st.report.written += 1;
+                st.report.last_generation = Some(w.generation);
+                st.report.last_bytes = w.bytes;
+                st.report.last_write_us =
+                    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+            }
+            Err(e) => {
+                st.report.failed += 1;
+                itdb_trace::emit(|| itdb_trace::EventKind::Message {
+                    text: format!("checkpoint write failed: {e}"),
+                });
+            }
+        }
+    }
 }
 
 /// The evaluation-cursor half of a checkpoint: where re-entry happens.
 struct CheckpointCursor {
-    program_hash: u128,
-    edb_hash: u128,
     stratum: usize,
     iteration: usize,
     stratum_iter: usize,
@@ -1063,198 +1196,110 @@ struct CheckpointCursor {
     fe_safe_streak: usize,
 }
 
-/// Builds and persists a checkpoint when the policy calls for one at this
-/// site: `trip_site` marks trip-triggered writes, otherwise the every-N
-/// cadence applies. `extra_delta` widens the saved frontier with an
-/// interrupted iteration's partial inserts (redo semantics; see the
-/// [`crate::checkpoint`] module docs). Failures are counted in `report`
-/// and traced — checkpointing never aborts the evaluation.
-#[allow(clippy::too_many_arguments)]
-fn maybe_checkpoint(
-    opts: &EvalOptions,
-    trip_site: bool,
-    cursor: CheckpointCursor,
-    last_growing: &[String],
-    idb: &BTreeMap<String, GeneralizedRelation>,
-    delta: &BTreeMap<String, GeneralizedRelation>,
-    extra_delta: Option<&BTreeMap<String, GeneralizedRelation>>,
-    fe_keys: &BTreeMap<&str, BTreeSet<FeKey>>,
-    governor: &Governor,
-    stats: &EvalStats,
-    report: &mut CheckpointReport,
-) {
-    let Some(policy) = &opts.checkpoint else {
-        return;
-    };
-    let due = if trip_site {
-        policy.on_trip
-    } else {
-        policy
-            .every_iterations
-            .is_some_and(|n| n > 0 && (cursor.iteration as u64).is_multiple_of(n))
-    };
-    if !due {
-        return;
-    }
-    let mut delta_out = delta.clone();
-    if let Some(extra) = extra_delta {
-        for (pred, rel) in extra {
-            let entry = delta_out
-                .entry(pred.clone())
-                .or_insert_with(|| GeneralizedRelation::empty(rel.schema()));
-            for t in rel.tuples() {
-                if entry.insert(t.clone()).is_err() {
-                    report.failed += 1;
-                    return;
-                }
-            }
+/// The immutable snapshot one derive phase fires against, plus the knobs
+/// the clause matcher needs. Shared read-only across the worker pool on
+/// the sharded path (see [`crate::parallel`]).
+pub(crate) struct DeriveCtx<'a> {
+    /// The stratum's clauses, in firing order.
+    pub(crate) clauses: &'a [&'a NormClause],
+    /// Predicates whose body positions read the delta on semi-naive
+    /// passes: the stratum's own, or the seed's on a seeded first pass.
+    pub(crate) delta_preds: &'a [&'a str],
+    /// Current IDB snapshot (read-only until the merge).
+    pub(crate) idb: &'a BTreeMap<String, GeneralizedRelation>,
+    /// Semi-naive delta frontier.
+    pub(crate) delta: &'a BTreeMap<String, GeneralizedRelation>,
+    /// The extensional database.
+    pub(crate) edb: &'a Database,
+    /// Empty relation per predicate (missing-relation fallback).
+    pub(crate) empty: &'a BTreeMap<String, GeneralizedRelation>,
+    /// Program analysis (intensional set).
+    pub(crate) info: &'a ProgramInfo,
+    /// One label per source clause, for rule spans.
+    pub(crate) rule_labels: &'a [String],
+    /// Fire each clause once per delta position (`true`) or once against
+    /// the full relations (`false`).
+    pub(crate) seminaive_pass: bool,
+    /// Residue budget for exact zone operations.
+    pub(crate) residue_budget: u64,
+    /// Consult the data-vector index when matching.
+    pub(crate) use_index: bool,
+    /// Clone matched source facts into every emission.
+    pub(crate) collect_sources: bool,
+}
+
+impl<'a> DeriveCtx<'a> {
+    /// The relation body position `i` reads with the delta substituted at
+    /// `dpos` (if any).
+    pub(crate) fn rel_for(
+        &self,
+        clause: &'a NormClause,
+        dpos: Option<usize>,
+        i: usize,
+    ) -> &'a GeneralizedRelation {
+        let pred = clause.body[i].pred.as_str();
+        if dpos == Some(i) {
+            self.delta.get(pred).unwrap_or(&self.empty[pred])
+        } else {
+            self.stable(pred)
         }
     }
-    let cp = Checkpoint {
-        generation: None,
-        program_hash: cursor.program_hash,
-        edb_hash: cursor.edb_hash,
-        stratum: cursor.stratum,
-        iteration: cursor.iteration,
-        stratum_iter: cursor.stratum_iter,
-        fe_safe_at: cursor.fe_safe_at,
-        fe_safe_streak: cursor.fe_safe_streak,
-        last_growing: last_growing.to_vec(),
-        idb: idb.clone(),
-        delta: delta_out,
-        fe_keys: fe_keys
+
+    /// Relations for a clause's negated atoms (stable inputs).
+    pub(crate) fn neg_rels(&self, clause: &'a NormClause) -> Vec<&'a GeneralizedRelation> {
+        clause
+            .neg_body
             .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect(),
-        governor: governor.stats(),
-        tuples_derived: stats.tuples_derived,
-        tuples_inserted: stats.tuples_inserted,
-        tuples_subsumed: stats.tuples_subsumed,
-        strata: stats.strata.iter().map(SavedStratum::from_stats).collect(),
-    };
-    let start = Instant::now();
-    if let Some(bg) = &policy.background {
-        // Background mode: the hot path pays encoding only; the fsync
-        // happens on the writer thread (bursts coalesce, latest wins).
-        // `written` counts hand-offs here — durable-write outcomes live
-        // in the writer's own stats.
-        let sections = cp.encode();
-        report.last_bytes = sections.iter().map(|s| s.payload.len() as u64).sum();
-        bg.submit(sections);
-        report.written += 1;
-        report.last_write_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        return;
+            .map(|a| self.stable(&a.pred))
+            .collect()
     }
-    match cp.save(&policy.store) {
-        Ok(w) => {
-            report.written += 1;
-            report.last_generation = Some(w.generation);
-            report.last_bytes = w.bytes;
-            report.last_write_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        }
-        Err(e) => {
-            report.failed += 1;
-            itdb_trace::emit(|| itdb_trace::EventKind::Message {
-                text: format!("checkpoint write failed: {e}"),
-            });
+
+    /// The full current relation of `pred`: IDB for intensional
+    /// predicates, EDB otherwise.
+    fn stable(&self, pred: &str) -> &'a GeneralizedRelation {
+        if self.info.intensional.contains(pred) {
+            &self.idb[pred]
+        } else {
+            self.edb.get(pred).unwrap_or(&self.empty[pred])
         }
     }
 }
 
 /// The classic single-threaded derive phase of one iteration: fires every
 /// stratum clause (each delta position on semi-naive passes) against the
-/// current snapshot, appending emissions to `derived` in firing order.
-/// A governor trip mid-derivation lands in `trip`; genuine errors
-/// propagate. This is the `--parallel 1` oracle the sharded path
-/// ([`crate::parallel`]) is byte-identical to.
-#[allow(clippy::too_many_arguments)]
-fn derive_sequential(
-    stratum_clauses: &[&NormClause],
-    stratum_preds: &[&str],
-    idb: &BTreeMap<String, GeneralizedRelation>,
-    delta: &BTreeMap<String, GeneralizedRelation>,
-    edb: &Database,
-    empty_relations: &BTreeMap<String, GeneralizedRelation>,
-    info: &ProgramInfo,
-    rule_labels: &[String],
-    opts: &EvalOptions,
-    stratum_iter: usize,
-    collect_sources: bool,
-    derived: &mut Vec<Pending>,
-    trip: &mut Option<TripReason>,
-) -> Result<()> {
-    'derive: for clause in stratum_clauses {
+/// snapshot, returning the emissions in firing order. This is the
+/// `--parallel 1` oracle the sharded path ([`crate::parallel`]) is
+/// byte-identical to.
+fn derive_sequential(ctx: &DeriveCtx<'_>) -> Result<Vec<Pending>> {
+    let mut derived = Vec::new();
+    for &clause in ctx.clauses {
         let _rule_span = itdb_trace::span_with(itdb_trace::SpanKind::Rule, || {
-            rule_labels
+            ctx.rule_labels
                 .get(clause.idx)
                 .cloned()
                 .unwrap_or_else(|| format!("r{}", clause.idx))
         });
-        let idb_positions = clause.body_positions_of(stratum_preds);
-        // Relations for the negated atoms (stable inputs).
-        let neg_rels: Vec<&GeneralizedRelation> = clause
-            .neg_body
-            .iter()
-            .map(|a| {
-                if info.intensional.contains(&a.pred) {
-                    &idb[&a.pred]
-                } else {
-                    edb.get(&a.pred).unwrap_or(&empty_relations[&a.pred])
-                }
-            })
-            .collect();
-        if opts.seminaive && stratum_iter > 1 {
-            if idb_positions.is_empty() {
-                continue; // stable-input-only clauses cannot fire anew
-            }
-            for &dpos in &idb_positions {
-                let rel_for = |i: usize| -> &GeneralizedRelation {
-                    let pred = clause.body[i].pred.as_str();
-                    if i == dpos {
-                        delta.get(pred).unwrap_or(&empty_relations[pred])
-                    } else if info.intensional.contains(pred) {
-                        &idb[pred]
-                    } else {
-                        edb.get(pred).unwrap_or(&empty_relations[pred])
-                    }
-                };
-                if let Err(e) = eval_clause(
-                    clause,
-                    &rel_for,
-                    &neg_rels,
-                    opts.residue_budget,
-                    opts.use_index,
-                    collect_sources,
-                    None,
-                    &mut |t, sources| {
-                        derived.push(Pending {
-                            pred: clause.head_pred.clone(),
-                            rule: clause.idx,
-                            tuple: t,
-                            sources,
-                        })
-                    },
-                ) {
-                    *trip = Some(as_trip(e)?);
-                    break 'derive;
-                }
-            }
+        let neg_rels = ctx.neg_rels(clause);
+        let dposes: Vec<Option<usize>> = if ctx.seminaive_pass {
+            // Stable-input-only clauses yield no positions: they cannot
+            // fire anew.
+            clause
+                .body_positions_of(ctx.delta_preds)
+                .into_iter()
+                .map(Some)
+                .collect()
         } else {
-            let rel_for = |i: usize| -> &GeneralizedRelation {
-                let pred = clause.body[i].pred.as_str();
-                if info.intensional.contains(pred) {
-                    &idb[pred]
-                } else {
-                    edb.get(pred).unwrap_or(&empty_relations[pred])
-                }
-            };
-            if let Err(e) = eval_clause(
+            vec![None]
+        };
+        for dpos in dposes {
+            let rel_for = |i: usize| -> &GeneralizedRelation { ctx.rel_for(clause, dpos, i) };
+            eval_clause(
                 clause,
                 &rel_for,
                 &neg_rels,
-                opts.residue_budget,
-                opts.use_index,
-                collect_sources,
+                ctx.residue_budget,
+                ctx.use_index,
+                ctx.collect_sources,
                 None,
                 &mut |t, sources| {
                     derived.push(Pending {
@@ -1264,13 +1309,10 @@ fn derive_sequential(
                         sources,
                     })
                 },
-            ) {
-                *trip = Some(as_trip(e)?);
-                break 'derive;
-            }
+            )?;
         }
     }
-    Ok(())
+    Ok(derived)
 }
 
 /// A derived head tuple awaiting canonicalization and subsumption insert,
@@ -1280,15 +1322,6 @@ pub(crate) struct Pending {
     pub(crate) rule: usize,
     pub(crate) tuple: GeneralizedTuple,
     pub(crate) sources: Vec<(String, GeneralizedTuple)>,
-}
-
-/// Borrow-friendly key helper: interns the predicate name against the
-/// analysis result so the FE-key map can borrow.
-fn pred_key<'a>(info: &'a ProgramInfo, pred: &str) -> Result<&'a str> {
-    info.intensional
-        .get(pred)
-        .map(|s| s.as_str())
-        .ok_or_else(|| Error::Eval(format!("internal: {pred} is not an intensional predicate")))
 }
 
 /// Applies one clause to the given body relations, emitting derived head

@@ -57,43 +57,11 @@
 // must flow through the error taxonomy, never panic.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::analyze::ProgramInfo;
-use crate::db::Database;
-use crate::engine::{eval_clause, Pending};
+use crate::engine::{eval_clause, DeriveCtx, Pending};
 use crate::normalize::NormClause;
 use itdb_lrp::{stats::Counters, Error, GeneralizedRelation, Governor, Result};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// The immutable snapshot one derive phase fires against, plus the knobs
-/// workers need. Everything here is shared read-only across the pool.
-pub(crate) struct DeriveCtx<'a> {
-    /// The stratum's clauses, in firing order.
-    pub clauses: &'a [&'a NormClause],
-    /// Predicates defined in this stratum (delta-position detection).
-    pub stratum_preds: &'a [&'a str],
-    /// Current IDB snapshot (read-only until the merge).
-    pub idb: &'a BTreeMap<String, GeneralizedRelation>,
-    /// Semi-naive delta frontier from the previous iteration.
-    pub delta: &'a BTreeMap<String, GeneralizedRelation>,
-    /// The extensional database.
-    pub edb: &'a Database,
-    /// Empty relation per predicate (missing-relation fallback).
-    pub empty: &'a BTreeMap<String, GeneralizedRelation>,
-    /// Program analysis (intensional set).
-    pub info: &'a ProgramInfo,
-    /// One label per source clause, for worker-side rule spans.
-    pub rule_labels: &'a [String],
-    /// Is this a semi-naive pass (stratum iteration > 1)?
-    pub seminaive_pass: bool,
-    /// Residue budget for exact zone operations.
-    pub residue_budget: u64,
-    /// Consult the data-vector index when matching.
-    pub use_index: bool,
-    /// Clone matched source facts into every emission.
-    pub collect_sources: bool,
-}
 
 /// One unit of parallel work: fire `clause` with the delta substituted at
 /// `dpos` (if any), restricted to the contiguous `chunk` of the level-0
@@ -110,40 +78,6 @@ pub(crate) struct FireTask {
 }
 
 impl<'a> DeriveCtx<'a> {
-    /// The relation body position `i` reads under this task's delta
-    /// substitution — the exact logic of the sequential engine's `rel_for`
-    /// closures.
-    fn rel_for(
-        &self,
-        clause: &'a NormClause,
-        dpos: Option<usize>,
-        i: usize,
-    ) -> &'a GeneralizedRelation {
-        let pred = clause.body[i].pred.as_str();
-        if dpos == Some(i) {
-            self.delta.get(pred).unwrap_or(&self.empty[pred])
-        } else if self.info.intensional.contains(pred) {
-            &self.idb[pred]
-        } else {
-            self.edb.get(pred).unwrap_or(&self.empty[pred])
-        }
-    }
-
-    /// Relations for a clause's negated atoms (stable inputs).
-    fn neg_rels(&self, clause: &'a NormClause) -> Vec<&'a GeneralizedRelation> {
-        clause
-            .neg_body
-            .iter()
-            .map(|a| {
-                if self.info.intensional.contains(&a.pred) {
-                    &self.idb[&a.pred]
-                } else {
-                    self.edb.get(&a.pred).unwrap_or(&self.empty[&a.pred])
-                }
-            })
-            .collect()
-    }
-
     /// Length of the level-0 candidate list the matcher will iterate for
     /// this `(clause, dpos)` unit. Mirrors the matcher's own candidate
     /// selection (index bucket when body-0's data terms are all ground
@@ -181,7 +115,7 @@ pub(crate) fn plan_tasks(ctx: &DeriveCtx<'_>, workers: usize) -> Vec<FireTask> {
     let mut tasks = Vec::new();
     for (clause_pos, clause) in ctx.clauses.iter().enumerate() {
         if ctx.seminaive_pass {
-            let idb_positions = clause.body_positions_of(ctx.stratum_preds);
+            let idb_positions = clause.body_positions_of(ctx.delta_preds);
             if idb_positions.is_empty() {
                 continue; // stable-input-only clauses cannot fire anew
             }
@@ -407,8 +341,10 @@ pub(crate) fn derive_parallel(
 mod tests {
     use super::*;
     use crate::analyze::analyze;
+    use crate::db::Database;
     use crate::normalize::normalize_program;
     use crate::parser::parse_program;
+    use std::collections::BTreeMap;
 
     /// Chunk ranges must tile `[0, len)` contiguously in order — the
     /// property the byte-identity argument rests on.
@@ -438,7 +374,7 @@ mod tests {
         let labels = vec!["r0".to_string()];
         let ctx = DeriveCtx {
             clauses: &clause_refs,
-            stratum_preds: &["p"],
+            delta_preds: &["p"],
             idb: &idb,
             delta: &delta,
             edb: &db,
@@ -501,7 +437,7 @@ mod tests {
         let labels = vec!["r0".to_string(), "r1".to_string()];
         let ctx = DeriveCtx {
             clauses: &clause_refs,
-            stratum_preds: &["p"],
+            delta_preds: &["p"],
             idb: &idb,
             delta: &delta,
             edb: &db,

@@ -7,7 +7,9 @@
 //! extensional operations **incrementally**: newly asserted EDB tuples
 //! seed the semi-naive delta frontier and propagation resumes from the
 //! affected strata; retracted EDB tuples trigger a DRed-style
-//! delete/re-derive pass. A model whose evaluation diverged or tripped
+//! delete/re-derive pass. Both re-enter the engine's own semi-naive loop
+//! ([`crate::engine`]) on the maintained IDB — there is no second
+//! fixpoint implementation. A model whose evaluation diverged or tripped
 //! its governor holds the sound partial model, reports that status with
 //! every answer, and refuses writes ([`ApplyError::Incomplete`]): DRed
 //! over a partial model is unsound.
@@ -20,9 +22,11 @@
 //!    firing of `T_GP(edb ∪ Δ)` either (a) uses no tuple newer than `M`,
 //!    and was therefore already fired, or (b) uses at least one new
 //!    tuple. The insert path of [`ResidentModel::apply_ops`] covers (b)
-//!    exactly: each clause is fired once per body position holding a
-//!    changed predicate, with the frontier relation at that position and
-//!    the *updated* full relations elsewhere — the textbook semi-naive
+//!    exactly: it runs the engine's loop over the affected strata, seeded
+//!    with the batch's EDB delta (accumulated across strata), so each
+//!    stratum's first iteration fires every clause once per body position
+//!    holding a changed predicate, with the delta at that position and the
+//!    *updated* full relations elsewhere — the textbook semi-naive
 //!    argument, seeded at the EDB instead of at iteration 1.
 //! 2. **Retraction is delete/re-derive (DRed).** A retraction removes
 //!    the stored EDB tuples semantically contained in the retracted
@@ -30,10 +34,11 @@
 //!    derivation transitively touches a removed tuple is deleted (the
 //!    provenance cone, when complete provenance is available), or every
 //!    tuple of every affected intensional predicate (the per-stratum
-//!    wipe fallback). The standard fixpoint then re-derives, per
-//!    affected stratum bottom-up, everything with a surviving
-//!    alternative derivation. Both modes start the re-derive from a
-//!    *subset* of the true fixpoint, so convergence lands exactly on it.
+//!    wipe fallback). The engine's loop then re-derives, unseeded and
+//!    restricted to the clauses whose heads are affected, per affected
+//!    stratum bottom-up, everything with a surviving alternative
+//!    derivation. Both modes start the re-derive from a *subset* of the
+//!    true fixpoint, so convergence lands exactly on it.
 //! 3. **Negation constrains the over-delete mode.** Retraction can
 //!    *grow* a predicate defined through negation, and recorded positive
 //!    sources cannot witness negation-dependent invalidation — so the
@@ -47,11 +52,15 @@
 //!    out — the generalized relation is the unit of storage, exactly as
 //!    in the paper's closed representation. Callers that need carve-out
 //!    must ingest at the granularity they intend to retract.
-//! 5. **Failed batches roll back; the model never wedges.** Every apply
-//!    is transactional: a governor trip or divergence mid-batch restores
+//! 5. **Failed batches roll back; the model never wedges.** Every batch
+//!    runs under a fresh governor built from the model's options, so
+//!    every budget — iterations, tuple fuel, deadline, memory ceiling,
+//!    cancellation — applies to that batch alone. Every apply is
+//!    transactional: a governor trip or divergence mid-batch restores
 //!    the exact pre-batch EDB, IDB, and provenance state and surfaces
-//!    [`ApplyError::RolledBack`]. The model stays healthy and continues
-//!    to serve reads and later batches — there is no poisoned state.
+//!    [`ApplyError::RolledBack`] (carrying [`Error::Interrupted`] for a
+//!    trip). The model stays healthy and continues to serve reads and
+//!    later batches — there is no poisoned state.
 //! 6. **Determinism.** Given the same starting state and the same
 //!    operation sequence, `apply_ops` produces byte-identical relations
 //!    (and byte-identical rollback decisions, for deterministic
@@ -59,8 +68,9 @@
 //!    tests build on. The over-delete mode is itself deterministic from
 //!    persisted state: snapshots carry the derivation log, so a restore
 //!    replays retractions in the same mode as the uninterrupted run.
-//! 7. **Divergence stays detected.** The same free-extension-key grace
-//!    rule as the engine guards each incremental fixpoint; a batch that
+//! 7. **Divergence stays detected.** Maintenance runs in the engine's
+//!    loop, so the engine's free-extension-key grace rule guards it, with
+//!    the key sets built from the maintained relations; a batch that
 //!    makes the workload diverge is rolled back rather than looping.
 //! 8. **Only complete models are maintained.** Every batch against a
 //!    model whose own evaluation diverged or tripped is refused with
@@ -80,16 +90,17 @@ use crate::ast::{Atom, Program};
 use crate::checkpoint::{get_relations, get_tuple, hash_program, put_relations, put_tuple};
 use crate::db::Database;
 use crate::engine::{
-    eval_clause, evaluate_with, Derivation, EvalOptions, EvalOutcome, EvalStats, Evaluation,
-    Pending,
+    evaluate_governed, evaluate_with, rule_labels, Derivation, EvalOptions, EvalOutcome, EvalStats,
+    Evaluation, Fixpoint, RunState,
 };
 use crate::normalize::{normalize_program, NormClause};
 use crate::query::query;
 use crate::service::{QueryResponse, QueryStatus};
-use itdb_lrp::{Error, GeneralizedRelation, GeneralizedTuple, Lrp, Result, Schema};
+use itdb_lrp::{Error, GeneralizedRelation, GeneralizedTuple, Governor, Result, Schema};
 use itdb_store::{ByteReader, ByteWriter, Section};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// One extensional fact: a predicate name and a generalized tuple (which
 /// may, as everywhere in the paper, denote infinitely many ground facts).
@@ -233,7 +244,22 @@ const SEC_RES_IDB: u8 = 23;
 const SEC_RES_PROV: u8 = 24;
 const RES_SNAPSHOT_VERSION: u8 = 1;
 
-type FeKey = (Vec<Lrp>, Vec<itdb_lrp::DataValue>);
+/// The error a batch rolls back with when its maintenance or
+/// re-evaluation run did not converge: the governor's trip, or divergence
+/// under the free-extension grace rule.
+fn converged(outcome: EvalOutcome) -> Result<()> {
+    match outcome {
+        EvalOutcome::Converged { .. } => Ok(()),
+        EvalOutcome::Interrupted(i) => Err(Error::Interrupted(i.reason)),
+        EvalOutcome::DivergedAfterFeSafety {
+            fe_safe_at,
+            iterations,
+        } => Err(Error::Eval(format!(
+            "maintenance diverged: no new free extension since iteration {fe_safe_at} \
+             ({iterations} iterations)"
+        ))),
+    }
+}
 
 /// How to restore one EDB relation if the batch rolls back.
 enum Undo {
@@ -271,10 +297,10 @@ pub struct ResidentModel {
     program: Program,
     info: ProgramInfo,
     clauses: Vec<NormClause>,
+    rule_labels: Vec<String>,
     program_hash: u128,
     edb: Database,
     idb: BTreeMap<String, GeneralizedRelation>,
-    empty: BTreeMap<String, GeneralizedRelation>,
     opts: EvalOptions,
     /// How the evaluation behind `idb` ended; anything but `Complete`
     /// means `idb` is a sound partial model and writes are refused.
@@ -326,20 +352,16 @@ impl ResidentModel {
         let all_clauses = normalize_program(&program)?;
         let program_hash = hash_program(&all_clauses);
         let clauses: Vec<NormClause> = all_clauses.into_iter().filter(|c| !c.dead).collect();
-        let empty: BTreeMap<String, GeneralizedRelation> = info
-            .signatures
-            .iter()
-            .map(|(p, s)| (p.clone(), GeneralizedRelation::empty(*s)))
-            .collect();
+        let rule_labels = rule_labels(&program);
         let provenance_complete = provenance_flag && opts.provenance && !opts.coalesce;
         Ok(ResidentModel {
             program,
             info,
             clauses,
+            rule_labels,
             program_hash,
             edb,
             idb,
-            empty,
             opts,
             status,
             stats: ResidentStats::default(),
@@ -606,18 +628,16 @@ impl ResidentModel {
                 .filter_map(|p| self.idb.get(p).map(|r| (p.clone(), r.clone())))
                 .collect();
             let deriv_snapshot = self.derivations.clone();
-            let result = if force_full {
-                self.recover_full(&mut out)
+            // Every budget of the options applies to this batch alone.
+            let governor = Governor::new(self.opts.governor_config());
+            let result = if force_full || (retract_seed.is_empty() && self.negation_over(&affected))
+            {
+                self.recover_full(&governor, &mut out)
             } else if retract_seed.is_empty() {
-                if self.negation_over(&affected) {
-                    self.recover_full(&mut out)
-                } else {
-                    self.propagate(insert_delta, &mut out)
-                }
+                self.maintain(&governor, Some(insert_delta), &affected, &mut out)
             } else {
-                let cone = self.over_delete(&retract_seed, &affected, &mut out);
-                out.dred_cone = cone;
-                self.rederive(&affected, &mut out)
+                out.dred_cone = self.over_delete(&retract_seed, &affected, &mut out);
+                self.maintain(&governor, None, &affected, &mut out)
             };
             if let Err(e) = result {
                 for (pred, rel) in idb_snapshot {
@@ -817,434 +837,59 @@ impl ResidentModel {
         cone
     }
 
-    /// DRed phase 2: re-derive. Runs the standard fixpoint over every
-    /// affected stratum bottom-up: iteration 1 fires each affected
-    /// clause fully against the current (post-over-delete) relations,
-    /// later iterations are semi-naive from the newly re-inserted
-    /// frontier. Starting from a subset of the true fixpoint, this
-    /// converges exactly onto it.
-    fn rederive(&mut self, affected: &BTreeSet<String>, out: &mut ApplyOutcome) -> Result<()> {
-        let collect = self.opts.provenance;
-        for (stratum_idx, stratum) in self.info.strata.iter().enumerate() {
-            if !stratum.iter().any(|p| affected.contains(p)) {
-                continue;
-            }
-            let stratum_clauses: Vec<&NormClause> = self
-                .clauses
-                .iter()
-                .filter(|c| stratum.contains(&c.head_pred) && affected.contains(&c.head_pred))
-                .collect();
-            if stratum_clauses.is_empty() {
-                continue;
-            }
-            let _span = itdb_trace::span_with(itdb_trace::SpanKind::Stratum, || {
-                format!("rederive stratum {stratum_idx}")
-            });
-            out.strata_touched += 1;
-
-            let mut fe_keys: BTreeMap<String, BTreeSet<FeKey>> = BTreeMap::new();
-            for pred in stratum.iter() {
-                let keys: BTreeSet<FeKey> = self
-                    .idb
-                    .get(pred)
-                    .map(|rel| {
-                        rel.tuples()
-                            .iter()
-                            .map(|t| t.free_extension_key())
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                fe_keys.insert(pred.clone(), keys);
-            }
-            let mut fe_safe_streak = 0usize;
-
-            let mut frontier: BTreeMap<String, GeneralizedRelation> = BTreeMap::new();
-            let mut stratum_iters = 0usize;
-            loop {
-                stratum_iters += 1;
-                out.iterations += 1;
-                if stratum_iters > self.opts.max_iterations {
-                    return Err(Error::Eval(format!(
-                        "retraction re-derivation exceeded {} iterations in stratum {stratum_idx}",
-                        self.opts.max_iterations
-                    )));
-                }
-                let mut derived: Vec<Pending> = Vec::new();
-                if stratum_iters == 1 {
-                    // Full firing against the current relations: covers
-                    // bodyless clauses and seeds the frontier, exactly
-                    // like the engine's first iteration.
-                    for clause in &stratum_clauses {
-                        let neg_rels: Vec<&GeneralizedRelation> = clause
-                            .neg_body
-                            .iter()
-                            .map(|a| self.stable_rel(&a.pred))
-                            .collect();
-                        let rel_for = |i: usize| -> &GeneralizedRelation {
-                            self.stable_rel(clause.body[i].pred.as_str())
-                        };
-                        eval_clause(
-                            clause,
-                            &rel_for,
-                            &neg_rels,
-                            self.opts.residue_budget,
-                            self.opts.use_index,
-                            collect,
-                            None,
-                            &mut |t, sources| {
-                                derived.push(Pending {
-                                    pred: clause.head_pred.clone(),
-                                    rule: clause.idx,
-                                    tuple: t,
-                                    sources,
-                                })
-                            },
-                        )?;
-                    }
-                } else {
-                    let changed: Vec<&str> = frontier
-                        .iter()
-                        .filter(|(_, rel)| !rel.is_empty())
-                        .map(|(p, _)| p.as_str())
-                        .collect();
-                    if changed.is_empty() {
-                        break;
-                    }
-                    for clause in &stratum_clauses {
-                        let dposes = clause.body_positions_of(&changed);
-                        if dposes.is_empty() {
-                            continue;
-                        }
-                        let neg_rels: Vec<&GeneralizedRelation> = clause
-                            .neg_body
-                            .iter()
-                            .map(|a| self.stable_rel(&a.pred))
-                            .collect();
-                        for dpos in dposes {
-                            let rel_for = |i: usize| -> &GeneralizedRelation {
-                                let pred = clause.body[i].pred.as_str();
-                                if i == dpos {
-                                    frontier.get(pred).unwrap_or_else(|| self.empty_rel(pred))
-                                } else {
-                                    self.stable_rel(pred)
-                                }
-                            };
-                            eval_clause(
-                                clause,
-                                &rel_for,
-                                &neg_rels,
-                                self.opts.residue_budget,
-                                self.opts.use_index,
-                                collect,
-                                None,
-                                &mut |t, sources| {
-                                    derived.push(Pending {
-                                        pred: clause.head_pred.clone(),
-                                        rule: clause.idx,
-                                        tuple: t,
-                                        sources,
-                                    })
-                                },
-                            )?;
-                        }
-                    }
-                }
-
-                let mut next: BTreeMap<String, GeneralizedRelation> = BTreeMap::new();
-                let mut new_fe_key = false;
-                for Pending {
-                    pred,
-                    rule,
-                    tuple,
-                    sources,
-                } in derived
-                {
-                    let Some(tuple) = tuple.canonical() else {
-                        continue;
-                    };
-                    let rel = self.idb.get_mut(&pred).ok_or_else(|| {
-                        Error::Eval(format!(
-                            "internal: derived tuple for non-intensional predicate {pred}"
-                        ))
-                    })?;
-                    let ins = if self.opts.use_index {
-                        rel.insert_if_new(tuple.clone(), self.opts.residue_budget)?
-                    } else {
-                        rel.insert_if_new_naive(tuple.clone(), self.opts.residue_budget)?
-                    };
-                    if ins {
-                        out.rederived += 1;
-                        if collect {
-                            self.derivations.push(Derivation {
-                                pred: pred.clone(),
-                                tuple: tuple.clone(),
-                                rule,
-                                sources,
-                            });
-                        }
-                        if let Some(keys) = fe_keys.get_mut(&pred) {
-                            if keys.insert(tuple.free_extension_key()) {
-                                new_fe_key = true;
-                            }
-                        }
-                        let schema = Schema::new(tuple.temporal_arity(), tuple.data_arity());
-                        next.entry(pred.clone())
-                            .or_insert_with(|| GeneralizedRelation::empty(schema))
-                            .insert(tuple)?;
-                    }
-                }
-                if next.is_empty() {
-                    break;
-                }
-                if new_fe_key {
-                    fe_safe_streak = 0;
-                } else {
-                    fe_safe_streak += 1;
-                    if fe_safe_streak > self.opts.grace_after_fe_safety {
-                        return Err(Error::Eval(format!(
-                            "retraction re-derivation diverged in stratum {stratum_idx} \
-                             (no new free-extension key for {fe_safe_streak} iterations)"
-                        )));
-                    }
-                }
-                frontier = next;
-            }
+    /// Re-enters the engine's semi-naive loop ([`Fixpoint`]) over the
+    /// affected strata, on the maintained IDB and under the batch's
+    /// governor. Insert propagation passes the batch's EDB delta as the
+    /// seed; the DRed re-derive passes none, so each affected stratum's
+    /// first iteration fires its affected clauses fully against the
+    /// post-over-delete relations. Either way the run starts from a subset
+    /// of the new fixpoint and converges exactly onto it; a trip or a
+    /// divergence surfaces as the error the batch rolls back with.
+    fn maintain(
+        &mut self,
+        governor: &Arc<Governor>,
+        seed: Option<BTreeMap<String, GeneralizedRelation>>,
+        affected: &BTreeSet<String>,
+        out: &mut ApplyOutcome,
+    ) -> Result<()> {
+        let _scope = governor.enter();
+        let rederive = seed.is_none();
+        let fixpoint = Fixpoint {
+            info: &self.info,
+            clauses: &self.clauses,
+            rule_labels: &self.rule_labels,
+            edb: &self.edb,
+            opts: &self.opts,
+            governor,
+            hashes: None,
+        };
+        let mut st = RunState::default();
+        let outcome = fixpoint.run(&mut self.idb, &mut st, seed, Some(affected), None)?;
+        out.strata_touched += st.stats.strata.len();
+        out.iterations += st.iteration as u64;
+        if rederive {
+            out.rederived += st.stats.tuples_inserted;
+        } else {
+            out.derived_inserted += st.stats.tuples_inserted;
         }
+        converged(outcome)?;
+        self.derivations.extend(st.derivations);
         Ok(())
     }
 
     /// Replaces the IDB (and the derivation log) with a fresh full
-    /// evaluation of the already-updated EDB.
-    fn recover_full(&mut self, out: &mut ApplyOutcome) -> Result<()> {
+    /// evaluation of the already-updated EDB, under the batch's governor.
+    fn recover_full(&mut self, governor: &Arc<Governor>, out: &mut ApplyOutcome) -> Result<()> {
         out.full_reeval = true;
         out.derived_inserted = 0;
-        let eval = evaluate_with(&self.program, &self.edb, &self.opts)?;
-        if !matches!(eval.outcome, EvalOutcome::Converged { .. }) {
-            return Err(Error::Eval(format!(
-                "re-evaluation after ingest did not converge: {:?}",
-                eval.outcome
-            )));
-        }
+        let eval = evaluate_governed(&self.program, &self.edb, &self.opts, governor)?;
+        converged(eval.outcome)?;
         self.idb = eval.idb;
         self.derivations = eval.derivations;
         // A from-scratch evaluation re-establishes complete provenance
         // (when recording is on at all).
         self.provenance_complete = self.opts.provenance && !self.opts.coalesce;
         Ok(())
-    }
-
-    /// Delta propagation: seed the semi-naive frontier with the new EDB
-    /// tuples and resume the fixpoint from the affected strata.
-    fn propagate(
-        &mut self,
-        edb_delta: BTreeMap<String, GeneralizedRelation>,
-        out: &mut ApplyOutcome,
-    ) -> Result<()> {
-        let collect = self.opts.provenance;
-        let changed_edb: BTreeSet<String> = edb_delta.keys().cloned().collect();
-        let affected = self.affected_preds(&changed_edb);
-        if !affected.iter().any(|p| self.info.intensional.contains(p)) {
-            return Ok(()); // pure-EDB growth: nothing derives from it
-        }
-        if self.negation_over(&affected) {
-            return self.recover_full(out);
-        }
-
-        // Cumulative per-predicate delta across strata: starts as the new
-        // EDB tuples, grows with every IDB insert, and is what seeds the
-        // frontier of each higher stratum.
-        let mut acc_delta = edb_delta;
-
-        for (stratum_idx, stratum) in self.info.strata.iter().enumerate() {
-            if !stratum.iter().any(|p| affected.contains(p)) {
-                continue; // below the lowest affected stratum, or disjoint
-            }
-            let stratum_clauses: Vec<&NormClause> = self
-                .clauses
-                .iter()
-                .filter(|c| stratum.contains(&c.head_pred))
-                .collect();
-            if stratum_clauses.is_empty() {
-                continue;
-            }
-            let _span = itdb_trace::span_with(itdb_trace::SpanKind::Stratum, || {
-                format!("maintain stratum {stratum_idx}")
-            });
-            out.strata_touched += 1;
-
-            // Free-extension guard, seeded from the *current* relations of
-            // this stratum's predicates: the same grace rule as the
-            // engine, so a batch that makes the workload diverge is
-            // detected instead of looping.
-            let mut fe_keys: BTreeMap<String, BTreeSet<FeKey>> = BTreeMap::new();
-            for pred in stratum.iter() {
-                let keys: BTreeSet<FeKey> = self
-                    .idb
-                    .get(pred)
-                    .map(|rel| {
-                        rel.tuples()
-                            .iter()
-                            .map(|t| t.free_extension_key())
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                fe_keys.insert(pred.clone(), keys);
-            }
-            let mut fe_safe_streak = 0usize;
-
-            // Iteration 1 fires from everything changed so far (EDB +
-            // lower strata); later iterations from this stratum's newly
-            // inserted tuples only — standard semi-naive.
-            let mut frontier: BTreeMap<String, GeneralizedRelation> = acc_delta.clone();
-            let mut stratum_iters = 0usize;
-            loop {
-                stratum_iters += 1;
-                out.iterations += 1;
-                if stratum_iters > self.opts.max_iterations {
-                    return Err(Error::Eval(format!(
-                        "incremental maintenance exceeded {} iterations in stratum {stratum_idx}",
-                        self.opts.max_iterations
-                    )));
-                }
-                let changed: Vec<&str> = frontier
-                    .iter()
-                    .filter(|(_, rel)| !rel.is_empty())
-                    .map(|(p, _)| p.as_str())
-                    .collect();
-                if changed.is_empty() {
-                    break;
-                }
-                let mut derived: Vec<Pending> = Vec::new();
-                for clause in &stratum_clauses {
-                    let dposes = clause.body_positions_of(&changed);
-                    if dposes.is_empty() {
-                        continue;
-                    }
-                    let neg_rels: Vec<&GeneralizedRelation> = clause
-                        .neg_body
-                        .iter()
-                        .map(|a| self.stable_rel(&a.pred))
-                        .collect();
-                    for dpos in dposes {
-                        let rel_for = |i: usize| -> &GeneralizedRelation {
-                            let pred = clause.body[i].pred.as_str();
-                            if i == dpos {
-                                frontier.get(pred).unwrap_or_else(|| self.empty_rel(pred))
-                            } else {
-                                self.stable_rel(pred)
-                            }
-                        };
-                        eval_clause(
-                            clause,
-                            &rel_for,
-                            &neg_rels,
-                            self.opts.residue_budget,
-                            self.opts.use_index,
-                            collect,
-                            None,
-                            &mut |t, sources| {
-                                derived.push(Pending {
-                                    pred: clause.head_pred.clone(),
-                                    rule: clause.idx,
-                                    tuple: t,
-                                    sources,
-                                })
-                            },
-                        )?;
-                    }
-                }
-
-                let mut next: BTreeMap<String, GeneralizedRelation> = BTreeMap::new();
-                let mut new_fe_key = false;
-                for Pending {
-                    pred,
-                    rule,
-                    tuple,
-                    sources,
-                } in derived
-                {
-                    let Some(tuple) = tuple.canonical() else {
-                        continue;
-                    };
-                    let rel = self.idb.get_mut(&pred).ok_or_else(|| {
-                        Error::Eval(format!(
-                            "internal: derived tuple for non-intensional predicate {pred}"
-                        ))
-                    })?;
-                    let ins = if self.opts.use_index {
-                        rel.insert_if_new(tuple.clone(), self.opts.residue_budget)?
-                    } else {
-                        rel.insert_if_new_naive(tuple.clone(), self.opts.residue_budget)?
-                    };
-                    if ins {
-                        out.derived_inserted += 1;
-                        if collect {
-                            self.derivations.push(Derivation {
-                                pred: pred.clone(),
-                                tuple: tuple.clone(),
-                                rule,
-                                sources,
-                            });
-                        }
-                        if let Some(keys) = fe_keys.get_mut(&pred) {
-                            if keys.insert(tuple.free_extension_key()) {
-                                new_fe_key = true;
-                            }
-                        }
-                        let schema = Schema::new(tuple.temporal_arity(), tuple.data_arity());
-                        next.entry(pred.clone())
-                            .or_insert_with(|| GeneralizedRelation::empty(schema))
-                            .insert(tuple)?;
-                    }
-                }
-                if next.is_empty() {
-                    break;
-                }
-                if new_fe_key {
-                    fe_safe_streak = 0;
-                } else {
-                    fe_safe_streak += 1;
-                    if fe_safe_streak > self.opts.grace_after_fe_safety {
-                        return Err(Error::Eval(format!(
-                            "incremental maintenance diverged in stratum {stratum_idx} \
-                             (no new free-extension key for {fe_safe_streak} iterations)"
-                        )));
-                    }
-                }
-                // Fold the stratum's new tuples into the cumulative delta
-                // for downstream strata.
-                for (pred, rel) in &next {
-                    let schema = rel.schema();
-                    let acc = acc_delta
-                        .entry(pred.clone())
-                        .or_insert_with(|| GeneralizedRelation::empty(schema));
-                    for t in rel.tuples() {
-                        acc.insert(t.clone())?;
-                    }
-                }
-                frontier = next;
-            }
-        }
-        Ok(())
-    }
-
-    /// The current full relation for `pred`: maintained IDB for
-    /// intensional predicates, (updated) EDB otherwise.
-    fn stable_rel(&self, pred: &str) -> &GeneralizedRelation {
-        if self.info.intensional.contains(pred) {
-            self.idb.get(pred).unwrap_or_else(|| self.empty_rel(pred))
-        } else {
-            self.edb.get(pred).unwrap_or_else(|| self.empty_rel(pred))
-        }
-    }
-
-    /// An empty relation of `pred`'s schema (interned; falls back to a
-    /// shared 0/0 schema only for predicates the program never mentions).
-    fn empty_rel(&self, pred: &str) -> &GeneralizedRelation {
-        static FALLBACK: std::sync::OnceLock<GeneralizedRelation> = std::sync::OnceLock::new();
-        self.empty.get(pred).unwrap_or_else(|| {
-            FALLBACK.get_or_init(|| GeneralizedRelation::empty(itdb_lrp::Schema::new(0, 0)))
-        })
     }
 
     /// Encodes the full resident state (EDB + IDB + derivation log +
@@ -1382,6 +1027,7 @@ mod tests {
     use super::*;
     use crate::parser::parse_program;
     use itdb_lrp::parser::parse_tuple;
+    use itdb_lrp::{CancelToken, TripReason};
 
     const PROGRAM: &str = "\
         problems[t1 + 2, t2 + 2](C) <- course[t1, t2](C).
@@ -1771,6 +1417,78 @@ mod tests {
         let out = m.apply_ops(&[assert_op("f", "(24n+1; y)")]).unwrap();
         assert_eq!(out.applied, 1);
         assert!(!m.idb()["q"].is_empty(), "q derived after recovery");
+    }
+
+    type Stored = Vec<(String, Vec<GeneralizedTuple>)>;
+
+    /// The EDB and IDB exactly as stored, for byte-identity checks.
+    fn stored(m: &ResidentModel) -> (Stored, Stored) {
+        let edb = m
+            .edb()
+            .iter()
+            .map(|(p, r)| (p.to_string(), r.tuples().to_vec()))
+            .collect();
+        let idb = m
+            .idb()
+            .iter()
+            .map(|(p, r)| (p.clone(), r.tuples().to_vec()))
+            .collect();
+        (edb, idb)
+    }
+
+    const COMPILERS: &str = "(168n+30, 168n+32; compilers) : T2 = T1 + 2";
+    const LOGIC: &str = "(168n+50, 168n+52; logic) : T2 = T1 + 2";
+
+    /// Maintenance spends the options' tuple fuel per batch: a batch whose
+    /// propagation inserts more tuples than the fuel allows rolls back
+    /// byte-identically, and batches within it apply one after another.
+    #[test]
+    fn propagation_past_the_tuple_fuel_rolls_back() {
+        // The seed inserts 7 `problems` tuples, and so does each new course.
+        let mut m = model_with(EvalOptions {
+            max_derived_tuples: Some(10),
+            ..prov_opts()
+        });
+        assert_eq!(m.status(), &QueryStatus::Complete);
+        let before = stored(&m);
+        let err = m
+            .apply_ops(&[assert_op("course", COMPILERS), assert_op("course", LOGIC)])
+            .unwrap_err();
+        match err {
+            ApplyError::RolledBack(Error::Interrupted(TripReason::TupleFuelExhausted {
+                limit,
+                ..
+            })) => assert_eq!(limit, 10),
+            other => panic!("expected a tuple-fuel rollback, got {other:?}"),
+        }
+        assert!(stored(&m) == before, "EDB and IDB restored byte for byte");
+        m.apply_ops(&[assert_op("course", COMPILERS)]).unwrap();
+        m.apply_ops(&[assert_op("course", LOGIC)]).unwrap();
+    }
+
+    /// Maintenance checks the options' cancellation token: once it is
+    /// cancelled, assert and retract batches both roll back untouched.
+    #[test]
+    fn cancelled_token_rolls_back_assert_and_retract_batches() {
+        let cancel = CancelToken::new();
+        let mut m = model_with(EvalOptions {
+            cancel: Some(cancel.clone()),
+            ..prov_opts()
+        });
+        cancel.cancel();
+        let before = stored(&m);
+        let batches = [
+            assert_op("course", COMPILERS),
+            retract_op("course", "(168n+8, 168n+10; database) : T2 = T1 + 2"),
+        ];
+        for op in batches {
+            match m.apply_ops(std::slice::from_ref(&op)) {
+                Err(ApplyError::RolledBack(Error::Interrupted(TripReason::Cancelled))) => {}
+                other => panic!("expected a cancelled rollback of {op:?}, got {other:?}"),
+            }
+            assert!(stored(&m) == before, "{op:?}: model restored byte for byte");
+        }
+        assert_eq!(m.stats().rollbacks, 2);
     }
 
     /// Snapshots carry the derivation log, so a restored model keeps

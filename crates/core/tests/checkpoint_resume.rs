@@ -197,37 +197,6 @@ fn every_n_checkpoint_of_a_finished_run_resumes_to_the_same_model() {
 }
 
 #[test]
-fn background_checkpoints_land_durably_and_resume_to_the_same_model() {
-    let (program, db) = workload();
-    let reference = evaluate_with(&program, &db, &unlimited()).unwrap();
-
-    let dir = temp_store_dir("bg");
-    let store = Arc::new(SnapshotStore::open(&dir).unwrap());
-    let writer = Arc::new(itdb_store::BackgroundWriter::spawn(store.clone()).unwrap());
-    let opts = EvalOptions {
-        max_derived_tuples: Some(3),
-        checkpoint: Some(CheckpointPolicy::on_trip(store.clone()).with_background(writer.clone())),
-        ..unlimited()
-    };
-    let interrupted = evaluate_with(&program, &db, &opts).unwrap();
-    assert!(matches!(interrupted.outcome, EvalOutcome::Interrupted(_)));
-    // The hot path only handed the image off; the writer persists it.
-    assert_eq!(interrupted.checkpoints.written, 1);
-    assert!(writer.flush(Duration::from_secs(10)));
-    let stats = writer.stats();
-    assert_eq!(stats.written, 1);
-    assert_eq!(stats.failed, 0);
-
-    let recovered = load_latest(&store).unwrap();
-    assert!(recovered.skipped.is_empty());
-    let resumed = resume_with(&program, &db, &unlimited(), &recovered.checkpoint).unwrap();
-    assert!(resumed.outcome.converged());
-    assert_same_model(&resumed, &reference, "background");
-    drop(writer);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn stale_program_hash_is_rejected_with_a_typed_error() {
     let (program, db) = workload();
     let dir = temp_store_dir("staleprog");

@@ -89,6 +89,8 @@ pub struct IngestConfig {
     /// Evaluation options for the resident model (governors, provenance).
     /// Defaults keep provenance recording on so retractions use the
     /// precise provenance-cone over-delete rather than the wipe fallback.
+    /// The budgets apply per batch; only deterministic ones are accepted
+    /// (see [`IngestConfig::validate`]).
     pub eval: EvalOptions,
 }
 
@@ -99,6 +101,15 @@ pub enum IngestConfigError {
     /// request id, so every retried batch would re-apply — at-least-once
     /// clients would silently lose exactly-once semantics.
     ZeroDedupWindow,
+    /// `eval.timeout` was set. Whether a batch beats a deadline depends on
+    /// the machine's speed at that moment, so a batch rolled back live
+    /// (answered 503) could apply on WAL replay, and the recovered model
+    /// would differ from the one that answered.
+    EvalTimeout,
+    /// `eval.cancel` was set. Cancellation is an outside event that WAL
+    /// replay cannot reproduce, so live and replayed apply decisions could
+    /// differ.
+    EvalCancel,
 }
 
 impl fmt::Display for IngestConfigError {
@@ -107,6 +118,14 @@ impl fmt::Display for IngestConfigError {
             IngestConfigError::ZeroDedupWindow => write!(
                 f,
                 "dedup_window must be at least 1 (0 would disable idempotent replay)"
+            ),
+            IngestConfigError::EvalTimeout => write!(
+                f,
+                "eval.timeout must be unset: WAL replay needs deterministic apply decisions"
+            ),
+            IngestConfigError::EvalCancel => write!(
+                f,
+                "eval.cancel must be unset: WAL replay needs deterministic apply decisions"
             ),
         }
     }
@@ -131,11 +150,20 @@ impl IngestConfig {
         }
     }
 
-    /// Validates boundary values. [`Ingest::open`] refuses an invalid
-    /// configuration rather than silently adjusting it.
+    /// Validates boundary values, and that every budget in `eval` is
+    /// deterministic: WAL replay must reach the same apply-or-roll-back
+    /// decision for each batch as the live path did, so a wall-clock
+    /// deadline or a cancellation token is refused. [`Ingest::open`]
+    /// refuses an invalid configuration rather than silently adjusting it.
     pub fn validate(&self) -> Result<(), IngestConfigError> {
         if self.dedup_window == 0 {
             return Err(IngestConfigError::ZeroDedupWindow);
+        }
+        if self.eval.timeout.is_some() {
+            return Err(IngestConfigError::EvalTimeout);
+        }
+        if self.eval.cancel.is_some() {
+            return Err(IngestConfigError::EvalCancel);
         }
         Ok(())
     }
@@ -882,6 +910,34 @@ mod tests {
     }
 
     #[test]
+    fn nondeterministic_eval_budgets_are_rejected() {
+        let dir = temp_dir("nondeterministic");
+        let workload = parse_workload(WORKLOAD).unwrap();
+        let mut deadline = config(&dir);
+        deadline.eval.timeout = Some(std::time::Duration::from_secs(60));
+        let mut cancel = config(&dir);
+        cancel.eval.cancel = Some(itdb_core::CancelToken::new());
+        for (cfg, expected) in [
+            (deadline, IngestConfigError::EvalTimeout),
+            (cancel, IngestConfigError::EvalCancel),
+        ] {
+            assert_eq!(cfg.validate(), Err(expected.clone()));
+            let err = match Ingest::open(cfg, &workload) {
+                Ok(_) => panic!("{expected:?} must be refused"),
+                Err(e) => e,
+            };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert_eq!(err.to_string(), expected.to_string());
+        }
+        // Deterministic budgets stay allowed.
+        let mut fuel = config(&dir);
+        fuel.eval.max_derived_tuples = Some(1_000);
+        fuel.eval.max_held_tuples = Some(1_000);
+        assert!(fuel.validate().is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn ingest_applies_dedups_and_recovers() {
         let dir = temp_dir("roundtrip");
         let workload = parse_workload(WORKLOAD).unwrap();
@@ -1034,52 +1090,68 @@ mod tests {
 
     #[test]
     fn tripped_batch_heals_without_restart() {
-        let dir = temp_dir("tripped");
-        // A workload whose recursion needs ~7 iterations per new seed
-        // tuple; a 3-iteration governor trips on ingest but the seed
-        // evaluation (empty EDB) converges immediately.
+        // A workload whose recursion needs ~7 iterations and inserts 7
+        // tuples per new seed tuple; the seed evaluation (empty EDB)
+        // converges immediately. Either budget trips on ingest: a
+        // 3-iteration governor, or a tuple fuel of 3.
         let workload = parse_workload(
             "rule p[t + 2](C) <- e[t](C).\n\
              rule p[t + 48](C) <- p[t](C).\n\
              rule q[t](C) <- f[t](C).\n",
         )
         .unwrap();
-        let mut cfg = config(&dir);
-        cfg.eval.max_iterations = 3;
-        let ingest = Ingest::open(cfg, &workload).unwrap();
-        let err = ingest
-            .submit(
-                "trip-1",
-                ops(r#"{"facts":[{"pred":"e","tuple":"(168n+1; x)"}]}"#),
-            )
-            .unwrap_err();
-        match err {
-            IngestError::Tripped { retry_after_s, .. } => assert!(retry_after_s >= 1),
-            other => panic!("expected Tripped, got {other:?}"),
+        let defaults = EvalOptions::default();
+        for (name, max_iterations, fuel) in [
+            ("iterations", 3, None),
+            ("fuel", defaults.max_iterations, Some(3)),
+        ] {
+            let dir = temp_dir(&format!("tripped_{name}"));
+            let mut cfg = config(&dir);
+            cfg.eval.max_iterations = max_iterations;
+            cfg.eval.max_derived_tuples = fuel;
+            let ingest = Ingest::open(cfg.clone(), &workload).unwrap();
+            let err = ingest
+                .submit(
+                    "trip-1",
+                    ops(r#"{"facts":[{"pred":"e","tuple":"(168n+1; x)"}]}"#),
+                )
+                .unwrap_err();
+            match err {
+                IngestError::Tripped { retry_after_s, .. } => assert!(retry_after_s >= 1),
+                other => panic!("{name}: expected Tripped, got {other:?}"),
+            }
+            assert_eq!(ingest.batches_tripped(), 1);
+            // The same server keeps applying unrelated batches: no wedge,
+            // no restart required.
+            let out = ingest
+                .submit(
+                    "ok-1",
+                    ops(r#"{"facts":[{"pred":"f","tuple":"(24n+1; y)"}]}"#),
+                )
+                .unwrap();
+            assert_eq!(out.applied, 1);
+            let q_live =
+                ingest.with_model(|m| m.relation("q").map(|r| !r.is_empty()).unwrap_or(false));
+            assert!(q_live, "{name}: derivation resumed after the trip");
+            // And the tripping record in the WAL replays as the same
+            // refusal.
+            ingest.flush();
+            drop(ingest);
+            let reopened = Ingest::open(cfg, &workload).unwrap();
+            assert_eq!(reopened.batches_tripped(), 0, "replay skips, not counts");
+            let replayed = reopened.with_model(|m| {
+                (
+                    m.relation("q").map(|r| !r.is_empty()).unwrap_or(false),
+                    m.relation("p").map(|r| r.is_empty()).unwrap_or(true),
+                )
+            });
+            assert_eq!(
+                replayed,
+                (true, true),
+                "{name}: healed state survives restart"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        assert_eq!(ingest.batches_tripped(), 1);
-        // The same server keeps applying unrelated batches: no wedge, no
-        // restart required.
-        let out = ingest
-            .submit(
-                "ok-1",
-                ops(r#"{"facts":[{"pred":"f","tuple":"(24n+1; y)"}]}"#),
-            )
-            .unwrap();
-        assert_eq!(out.applied, 1);
-        let q_live = ingest.with_model(|m| m.relation("q").map(|r| !r.is_empty()).unwrap_or(false));
-        assert!(q_live, "derivation resumed after the trip");
-        // And the tripping record in the WAL replays as the same refusal.
-        ingest.flush();
-        drop(ingest);
-        let mut cfg = config(&dir);
-        cfg.eval.max_iterations = 3;
-        let reopened = Ingest::open(cfg, &workload).unwrap();
-        assert_eq!(reopened.batches_tripped(), 0, "replay skips, not counts");
-        let q_live =
-            reopened.with_model(|m| m.relation("q").map(|r| !r.is_empty()).unwrap_or(false));
-        assert!(q_live, "healed state survives restart");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

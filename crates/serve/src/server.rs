@@ -1034,7 +1034,13 @@ fn serve_facts(
             return 400;
         }
     };
-    match ingest.submit(request_id, facts) {
+    // The request id is the trace context of the batch's maintenance, so
+    // the events it emits carry the id, as for a `/query` materialisation.
+    let submitted = {
+        let _ctx = itdb_trace::context::set_request_id(request_id);
+        ingest.submit(request_id, facts)
+    };
+    match submitted {
         Ok(out) => {
             use std::fmt::Write as _;
             let mut body = String::with_capacity(160);

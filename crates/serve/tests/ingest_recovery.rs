@@ -13,6 +13,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
+use std::time::{Duration, Instant};
 
 const WORKLOAD: &str = "\
     tuple course (168n+8, 168n+10; database) : T2 = T1 + 2\n\
@@ -146,6 +147,47 @@ fn facts_require_ingest_mode() {
     assert!(body_of(&resp).contains("--wal"), "hint names the flag");
 }
 
+/// Subscribes to `/events`, runs `act`, and collects the streamed event
+/// lines until `done` holds for them (or ten seconds pass).
+fn events_around<T>(
+    addr: SocketAddr,
+    act: impl FnOnce() -> T,
+    done: impl Fn(&[String]) -> bool,
+) -> (T, Vec<String>) {
+    let subscriber = TcpStream::connect(addr).unwrap();
+    subscriber
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    let mut w = subscriber.try_clone().unwrap();
+    w.write_all(b"GET /events HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let mut reader = BufReader::new(subscriber);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut line = String::new();
+    // The response head arrives once the subscription is live.
+    while line != "\r\n" && Instant::now() < deadline {
+        line.clear();
+        let _ = reader.read_line(&mut line);
+    }
+    let out = act();
+    let mut lines = Vec::new();
+    line.clear();
+    while !done(&lines) && Instant::now() < deadline {
+        match reader.read_line(&mut line) {
+            Ok(0) => break,
+            Ok(_) => {
+                if line.contains("\"event\"") {
+                    lines.push(line.trim().to_string());
+                }
+                line.clear();
+            }
+            // Read timeout: keep any partial line and poll again.
+            Err(_) => {}
+        }
+    }
+    (out, lines)
+}
+
 #[test]
 fn facts_accepted_visible_and_idempotent() {
     let dir = temp_dir("visible");
@@ -156,7 +198,25 @@ fn facts_accepted_visible_and_idempotent() {
     assert_eq!(status_of(&before), 200);
     assert!(!body_of(&before).contains("compilers"));
 
-    let accepted = post_facts(ts.addr, "req-1", NEW_COURSE);
+    // The batch's maintenance events stream over `/events` stamped with
+    // its request id.
+    let (accepted, events) = events_around(
+        ts.addr,
+        || post_facts(ts.addr, "req-1", NEW_COURSE),
+        |lines| {
+            lines
+                .iter()
+                .any(|l| l.contains("\"event\":\"facts_ingested\""))
+        },
+    );
+    let inserted: Vec<&String> = events
+        .iter()
+        .filter(|l| l.contains("\"event\":\"tuple_inserted\""))
+        .collect();
+    assert_eq!(inserted.len(), 7, "one per derived tuple: {events:#?}");
+    for e in &events {
+        assert!(e.ends_with(",\"request_id\":\"req-1\"}"), "unstamped: {e}");
+    }
     assert_eq!(status_of(&accepted), 202);
     let body = body_of(&accepted);
     assert!(body.contains("\"status\":\"accepted\""), "{body}");

@@ -35,21 +35,13 @@
 //! The `fault` feature (test-only) injects torn writes, short writes, bit
 //! flips, and crash-before-rename faults into [`SnapshotStore::write`],
 //! mirroring the governor's fault-injection style.
-//!
-//! ## Background writes
-//!
-//! [`BackgroundWriter`] moves the fsync-heavy write path onto a dedicated
-//! thread behind a coalescing depth-one queue (latest snapshot wins), so
-//! hot paths hand off encoded sections and keep going.
 
 #![warn(missing_docs)]
 
-pub mod bg;
 pub mod codec;
 pub mod store;
 pub mod wal;
 
-pub use bg::{BackgroundWriter, BgWriterStats};
 pub use codec::{crc32, ByteReader, ByteWriter, CodecError};
 pub use store::{Recovery, Section, SnapshotStore, StoreError, Written, FORMAT_VERSION, MAGIC};
 pub use wal::{FsyncPolicy, Wal, WalOptions, WalRecord, WalRecovery, WalStats};
