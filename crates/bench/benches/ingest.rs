@@ -7,13 +7,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use itdb_bench::workloads::example_4_1;
-use itdb_core::{EvalOptions, Fact, ResidentModel};
+use itdb_core::{EvalOptions, Fact, Op, ResidentModel};
 use itdb_lrp::parser::parse_tuple;
 use std::hint::black_box;
 
 /// A batch of `n` fresh course facts, schema-compatible with
 /// `example_4_1` and disjoint from its seed tuple.
-fn fresh_batch(period: i64, n: usize) -> Vec<Fact> {
+fn fresh_batch(period: i64, n: usize) -> Vec<Op> {
     (0..n)
         .map(|i| {
             let a = 20 + 4 * i as i64;
@@ -21,10 +21,10 @@ fn fresh_batch(period: i64, n: usize) -> Vec<Fact> {
                 "({period}n+{a}, {period}n+{}; extra{i}) : T2 = T1 + 2",
                 a + 2
             );
-            Fact {
+            Op::Assert(Fact {
                 pred: "course".to_string(),
                 tuple: parse_tuple(&text).expect("static tuple"),
-            }
+            })
         })
         .collect()
 }
@@ -46,7 +46,7 @@ fn bench_ingest(c: &mut Criterion) {
                 |bench, batch| {
                     bench.iter(|| {
                         let mut m = base.clone();
-                        black_box(m.apply_batch(batch).expect("batch applies"))
+                        black_box(m.apply_ops(batch).expect("batch applies"))
                     })
                 },
             );
@@ -56,7 +56,7 @@ fn bench_ingest(c: &mut Criterion) {
                 |bench, batch| {
                     bench.iter(|| {
                         let mut m = base.clone();
-                        black_box(m.apply_batch_full_reeval(batch).expect("batch applies"))
+                        black_box(m.apply_ops_full_reeval(batch).expect("batch applies"))
                     })
                 },
             );

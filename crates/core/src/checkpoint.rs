@@ -1,20 +1,29 @@
-//! Durable checkpoints of partial fixpoints (crash-safe snapshots).
+//! Model images on disk: the one codec, save path and recovery walk.
 //!
-//! A [`Checkpoint`] captures everything the engine needs to re-enter the
-//! stratified semi-naive loop exactly where it stopped: the partial IDB,
-//! the evaluation cursor (stratum index, iteration counts, free-extension
-//! safety counters, the semi-naive delta), aggregate statistics, a snapshot of
-//! the governor's counters (so operators can size resume budgets), and
-//! content hashes of the normalized program and the EDB so a checkpoint
-//! written for a different program or database is rejected with a typed
-//! error instead of silently resuming into the wrong model.
+//! Two images of the closed-form model go to disk, both built from the
+//! same relation, tuple and derivation-log codecs below:
 //!
-//! Serialization rides on `itdb-store`'s section-framed container: the
-//! checkpoint encodes into tagged sections ([`SEC_META`] … [`SEC_STATS`]),
-//! each independently CRC-checked by the store, written atomically as the
-//! next snapshot *generation*. Loading walks generations newest-first and
-//! falls back past damaged ones ([`load_latest`]), emitting
-//! `checkpoint_recovery` trace events for each skipped generation.
+//! - a [`Checkpoint`] (tags 1–6) captures everything the engine needs to
+//!   re-enter the stratified semi-naive loop exactly where it stopped:
+//!   the partial IDB, the evaluation cursor (stratum index, iteration
+//!   counts, free-extension safety counters, the semi-naive delta),
+//!   aggregate statistics, the governor's counters (so operators can size
+//!   resume budgets), the derivation log when provenance is on, and
+//!   content hashes of the normalized program and the EDB, so a
+//!   checkpoint written for a different program or database is rejected
+//!   with a typed error instead of silently resuming into the wrong model;
+//! - a [`ResidentImage`] (tags 21–24) holds a resident model's EDB, IDB
+//!   and derivation log, stamped with its program hash and the WAL
+//!   sequence it is current through. The serve layer saves its dedup
+//!   window beside it (tags 30/31).
+//!
+//! Each image is a list of tagged sections in `itdb-store`'s container,
+//! each CRC-checked by the store, written atomically as the next snapshot
+//! *generation* by [`save`], which emits `checkpoint_written`. Recovery
+//! is one walk, [`load_latest_with`]: given the image's decoder, it
+//! returns the newest generation that passes *both* the store's
+//! structural validation and that decoder, emitting `checkpoint_recovery`
+//! for each generation it skips.
 //!
 //! The cursor uses **redo semantics** for trips that strike mid-iteration:
 //! the saved iteration count points at the last *completed* iteration and
@@ -25,12 +34,17 @@
 //! Aggregate statistics may double-count the one redone iteration; model
 //! contents never drift.
 
-use crate::engine::{EvalStats, StratumStats};
+// Decodes on-disk bytes at serve boot: failures must flow through
+// `CheckpointError`, never panic.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use crate::engine::{Derivation, EvalStats, StratumStats};
 use itdb_lrp::{
     Bound, DataValue, Dbm, Error, GeneralizedRelation, GeneralizedTuple, GovernorStats, Lrp,
     Schema, Zone,
 };
 use itdb_store::{ByteReader, ByteWriter, CodecError, Section, SnapshotStore, StoreError, Written};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -46,6 +60,22 @@ pub const SEC_DELTA: u8 = 3;
 /// free-extension keys in older generations; decoding ignores it, because
 /// the keys are exactly those of the restored IDB.)
 pub const SEC_STATS: u8 = 5;
+/// Section tag: the derivation log, written when it is not empty (that
+/// is, when provenance is on). A generation without it resumes with an
+/// empty log.
+pub const SEC_DERIVATIONS: u8 = 6;
+
+/// Section tag: resident image version, program hash, applied sequence.
+pub const SEC_RES_META: u8 = 21;
+/// Section tag: the resident model's EDB.
+pub const SEC_RES_EDB: u8 = 22;
+/// Section tag: the resident model's IDB.
+pub const SEC_RES_IDB: u8 = 23;
+/// Section tag: provenance completeness and the derivation log. Images
+/// written before retraction support lack it.
+pub const SEC_RES_PROV: u8 = 24;
+/// Version byte leading the [`SEC_RES_META`] section.
+const RES_VERSION: u8 = 1;
 
 /// Why a checkpoint could not be saved, loaded, or accepted for resume.
 #[derive(Debug)]
@@ -199,6 +229,10 @@ pub struct Checkpoint {
     pub idb: BTreeMap<String, GeneralizedRelation>,
     /// The semi-naive frontier of the in-flight stratum.
     pub delta: BTreeMap<String, GeneralizedRelation>,
+    /// The derivation log so far, in insertion order (empty unless
+    /// provenance is on), so a resumed run can still explain tuples
+    /// derived before the checkpoint.
+    pub derivations: Vec<Derivation>,
     /// Governor counters at checkpoint time (fuel used, tuples held,
     /// elapsed ms) — lets operators size the resume budget.
     pub governor: GovernorStats,
@@ -247,15 +281,41 @@ impl SavedStratum {
     }
 }
 
-/// The result of [`load_latest`]: the newest checkpoint that both the
+/// A resident model's image (tags 21–24): its EDB, IDB and derivation
+/// log, stamped with its program hash and the WAL sequence it is current
+/// through. Tuple and derivation order are kept exactly, so a restore
+/// followed by WAL replay is byte-identical to the uninterrupted run.
+/// Built by [`crate::ResidentModel::snapshot_sections`], which borrows the
+/// model's state, or by [`ResidentImage::decode`], which owns what it read.
+#[derive(Debug, Clone)]
+pub struct ResidentImage<'a> {
+    /// Content hash of the normalized program. Checked after decoding (by
+    /// [`crate::ResidentModel::restore`]), so an image of another workload
+    /// decodes fine and is then refused.
+    pub(crate) program_hash: u128,
+    /// The WAL sequence the image is current through.
+    pub(crate) applied_seq: u64,
+    /// The extensional relations.
+    pub(crate) edb: Cow<'a, BTreeMap<String, GeneralizedRelation>>,
+    /// The intensional relations.
+    pub(crate) idb: Cow<'a, BTreeMap<String, GeneralizedRelation>>,
+    /// Does `derivations` record every IDB insertion since the model's
+    /// birth? `false` for images without a provenance section.
+    pub(crate) provenance_complete: bool,
+    /// The derivation log, in insertion order.
+    pub(crate) derivations: Cow<'a, [Derivation]>,
+}
+
+/// The result of [`load_latest_with`]: the newest image that both the
 /// store *and* the decoder accepted, plus the generations skipped on the
 /// way down.
 #[derive(Debug)]
-pub struct Recovered {
-    /// Generation the checkpoint came from.
+pub struct Recovered<T = Checkpoint> {
+    /// Generation the image came from.
     pub generation: u64,
-    /// The decoded checkpoint (its `generation` field is set).
-    pub checkpoint: Checkpoint,
+    /// The decoded image (for [`load_latest`], a checkpoint whose
+    /// `generation` field is set).
+    pub checkpoint: T,
     /// Damaged generations skipped, newest first, with the rendered error.
     pub skipped: Vec<(u64, String)>,
 }
@@ -306,7 +366,20 @@ pub fn hash_database(edb: &crate::db::Database) -> u128 {
 }
 
 // ---------------------------------------------------------------------------
-// Encoding
+// The codec pieces both images are built from
+
+/// A reader over the payload of the section tagged `tag`, if present.
+fn section(sections: &[Section], tag: u8) -> Option<ByteReader<'_>> {
+    sections
+        .iter()
+        .find(|s| s.tag == tag)
+        .map(|s| ByteReader::new(&s.payload))
+}
+
+/// [`section`] for a section the image cannot do without.
+fn required(sections: &[Section], tag: u8) -> Result<ByteReader<'_>, CheckpointError> {
+    section(sections, tag).ok_or_else(|| CheckpointError::Decode(format!("missing section {tag}")))
+}
 
 fn put_u128(w: &mut ByteWriter, v: u128) {
     w.put_u64((v >> 64) as u64);
@@ -362,7 +435,7 @@ fn get_lrps(r: &mut ByteReader<'_>) -> Result<Vec<Lrp>, CheckpointError> {
     Ok(lrps)
 }
 
-pub(crate) fn put_tuple(w: &mut ByteWriter, t: &GeneralizedTuple) {
+fn put_tuple(w: &mut ByteWriter, t: &GeneralizedTuple) {
     put_lrps(w, t.zone().lrps());
     let dbm = t.zone().dbm();
     w.put_usize(dbm.dim());
@@ -383,7 +456,7 @@ pub(crate) fn put_tuple(w: &mut ByteWriter, t: &GeneralizedTuple) {
     }
 }
 
-pub(crate) fn get_tuple(r: &mut ByteReader<'_>) -> Result<GeneralizedTuple, CheckpointError> {
+fn get_tuple(r: &mut ByteReader<'_>) -> Result<GeneralizedTuple, CheckpointError> {
     let lrps = get_lrps(r)?;
     let dim = r.get_usize()?;
     if dim == 0 || dim > 1 + lrps.len() {
@@ -413,7 +486,7 @@ pub(crate) fn get_tuple(r: &mut ByteReader<'_>) -> Result<GeneralizedTuple, Chec
     Ok(GeneralizedTuple::new(zone, data))
 }
 
-pub(crate) fn put_relations(w: &mut ByteWriter, rels: &BTreeMap<String, GeneralizedRelation>) {
+fn put_relations(w: &mut ByteWriter, rels: &BTreeMap<String, GeneralizedRelation>) {
     w.put_usize(rels.len());
     for (name, rel) in rels {
         w.put_str(name);
@@ -427,7 +500,7 @@ pub(crate) fn put_relations(w: &mut ByteWriter, rels: &BTreeMap<String, Generali
     }
 }
 
-pub(crate) fn get_relations(
+fn get_relations(
     r: &mut ByteReader<'_>,
 ) -> Result<BTreeMap<String, GeneralizedRelation>, CheckpointError> {
     let n = r.get_usize()?;
@@ -447,6 +520,53 @@ pub(crate) fn get_relations(
     }
     Ok(rels)
 }
+
+fn put_derivations(w: &mut ByteWriter, derivations: &[Derivation]) {
+    w.put_usize(derivations.len());
+    for d in derivations {
+        w.put_str(&d.pred);
+        w.put_usize(d.rule);
+        put_tuple(w, &d.tuple);
+        w.put_usize(d.sources.len());
+        for (p, t) in &d.sources {
+            w.put_str(p);
+            put_tuple(w, t);
+        }
+    }
+}
+
+fn get_derivations(r: &mut ByteReader<'_>) -> Result<Vec<Derivation>, CheckpointError> {
+    let n = r.get_usize()?;
+    let mut derivations = Vec::with_capacity(n.min(65_536));
+    for _ in 0..n {
+        let pred = r.get_str()?;
+        let rule = r.get_usize()?;
+        let tuple = get_tuple(r)?;
+        let ns = r.get_usize()?;
+        let mut sources = Vec::with_capacity(ns.min(1024));
+        for _ in 0..ns {
+            let p = r.get_str()?;
+            sources.push((p, get_tuple(r)?));
+        }
+        derivations.push(Derivation {
+            pred,
+            tuple,
+            rule,
+            sources,
+        });
+    }
+    Ok(derivations)
+}
+
+/// One section holding the relations `rels`.
+fn relations_section(tag: u8, rels: &BTreeMap<String, GeneralizedRelation>) -> Section {
+    let mut w = ByteWriter::new();
+    put_relations(&mut w, rels);
+    Section::new(tag, w.into_bytes())
+}
+
+// ---------------------------------------------------------------------------
+// The two images
 
 impl Checkpoint {
     /// Encodes the checkpoint into the store's tagged sections.
@@ -470,11 +590,6 @@ impl Checkpoint {
         meta.put_u64(self.governor.checks);
         meta.put_u64(self.governor.elapsed_ms);
 
-        let mut idb = ByteWriter::new();
-        put_relations(&mut idb, &self.idb);
-        let mut delta = ByteWriter::new();
-        put_relations(&mut delta, &self.delta);
-
         let mut stats = ByteWriter::new();
         stats.put_u64(self.tuples_derived);
         stats.put_u64(self.tuples_inserted);
@@ -490,24 +605,23 @@ impl Checkpoint {
             stats.put_u64(s.elapsed_us);
         }
 
-        vec![
+        let mut sections = vec![
             Section::new(SEC_META, meta.into_bytes()),
-            Section::new(SEC_IDB, idb.into_bytes()),
-            Section::new(SEC_DELTA, delta.into_bytes()),
+            relations_section(SEC_IDB, &self.idb),
+            relations_section(SEC_DELTA, &self.delta),
             Section::new(SEC_STATS, stats.into_bytes()),
-        ]
+        ];
+        if !self.derivations.is_empty() {
+            let mut log = ByteWriter::new();
+            put_derivations(&mut log, &self.derivations);
+            sections.push(Section::new(SEC_DERIVATIONS, log.into_bytes()));
+        }
+        sections
     }
 
     /// Decodes a checkpoint from the store's sections.
     pub fn decode(sections: &[Section]) -> Result<Self, CheckpointError> {
-        let find = |tag: u8| -> Result<&Section, CheckpointError> {
-            sections
-                .iter()
-                .find(|s| s.tag == tag)
-                .ok_or_else(|| CheckpointError::Decode(format!("missing section {tag}")))
-        };
-
-        let mut r = ByteReader::new(&find(SEC_META)?.payload);
+        let mut r = required(sections, SEC_META)?;
         let program_hash = get_u128(&mut r)?;
         let edb_hash = get_u128(&mut r)?;
         let stratum = r.get_usize()?;
@@ -530,12 +644,14 @@ impl Checkpoint {
             elapsed_ms: r.get_u64()?,
         };
 
-        let mut r = ByteReader::new(&find(SEC_IDB)?.payload);
-        let idb = get_relations(&mut r)?;
-        let mut r = ByteReader::new(&find(SEC_DELTA)?.payload);
-        let delta = get_relations(&mut r)?;
+        let idb = get_relations(&mut required(sections, SEC_IDB)?)?;
+        let delta = get_relations(&mut required(sections, SEC_DELTA)?)?;
+        let derivations = match section(sections, SEC_DERIVATIONS) {
+            Some(mut r) => get_derivations(&mut r)?,
+            None => Vec::new(),
+        };
 
-        let mut r = ByteReader::new(&find(SEC_STATS)?.payload);
+        let mut r = required(sections, SEC_STATS)?;
         let tuples_derived = r.get_u64()?;
         let tuples_inserted = r.get_u64()?;
         let tuples_subsumed = r.get_u64()?;
@@ -567,27 +683,13 @@ impl Checkpoint {
             last_growing,
             idb,
             delta,
+            derivations,
             governor,
             tuples_derived,
             tuples_inserted,
             tuples_subsumed,
             strata,
         })
-    }
-
-    /// Persists the checkpoint as the store's next generation and emits a
-    /// `checkpoint_written` trace event.
-    pub fn save(&self, store: &SnapshotStore) -> Result<Written, CheckpointError> {
-        let start = std::time::Instant::now();
-        let sections = self.encode();
-        let written = store.write(&sections)?;
-        let write_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        itdb_trace::emit(|| itdb_trace::EventKind::CheckpointWritten {
-            generation: written.generation,
-            bytes: written.bytes,
-            write_us,
-        });
-        Ok(written)
     }
 
     /// Rejects checkpoints written for a different program or EDB.
@@ -621,26 +723,95 @@ impl Checkpoint {
     }
 }
 
-/// Loads the newest checkpoint that passes *both* the store's structural
-/// validation and the checkpoint decoder, walking generations newest-first
-/// and reporting (not failing on) everything skipped. Each skipped
-/// generation emits a `checkpoint_recovery` trace event.
-pub fn load_latest(store: &SnapshotStore) -> Result<Recovered, CheckpointError> {
+impl ResidentImage<'_> {
+    /// Encodes the image into its four tagged sections (21–24).
+    pub fn encode(&self) -> Vec<Section> {
+        let mut meta = ByteWriter::new();
+        meta.put_u8(RES_VERSION);
+        put_u128(&mut meta, self.program_hash);
+        meta.put_u64(self.applied_seq);
+        let mut prov = ByteWriter::new();
+        prov.put_bool(self.provenance_complete);
+        put_derivations(&mut prov, &self.derivations);
+        vec![
+            Section::new(SEC_RES_META, meta.into_bytes()),
+            relations_section(SEC_RES_EDB, &self.edb),
+            relations_section(SEC_RES_IDB, &self.idb),
+            Section::new(SEC_RES_PROV, prov.into_bytes()),
+        ]
+    }
+}
+
+impl ResidentImage<'static> {
+    /// Decodes a resident image from the store's sections; other sections
+    /// (the serve layer's dedup window) are ignored. An image without a
+    /// provenance section decodes with an empty, incomplete log.
+    pub fn decode(sections: &[Section]) -> Result<Self, CheckpointError> {
+        let mut meta = required(sections, SEC_RES_META)?;
+        let version = meta.get_u8()?;
+        if version != RES_VERSION {
+            return Err(CheckpointError::Decode(format!(
+                "unsupported resident image version {version}"
+            )));
+        }
+        let program_hash = get_u128(&mut meta)?;
+        let applied_seq = meta.get_u64()?;
+        let edb = get_relations(&mut required(sections, SEC_RES_EDB)?)?;
+        let idb = get_relations(&mut required(sections, SEC_RES_IDB)?)?;
+        let (provenance_complete, derivations) = match section(sections, SEC_RES_PROV) {
+            Some(mut r) => (r.get_bool()?, get_derivations(&mut r)?),
+            None => (false, Vec::new()),
+        };
+        Ok(ResidentImage {
+            program_hash,
+            applied_seq,
+            edb: Cow::Owned(edb),
+            idb: Cow::Owned(idb),
+            provenance_complete,
+            derivations: Cow::Owned(derivations),
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Save and recover
+
+/// Persists `sections` as the store's next generation and emits a
+/// `checkpoint_written` trace event. Every image goes to disk this way.
+pub fn save(store: &SnapshotStore, sections: &[Section]) -> Result<Written, CheckpointError> {
+    let start = std::time::Instant::now();
+    let written = store.write(sections)?;
+    let write_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+    itdb_trace::emit(|| itdb_trace::EventKind::CheckpointWritten {
+        generation: written.generation,
+        bytes: written.bytes,
+        write_us,
+    });
+    Ok(written)
+}
+
+/// Loads the newest generation that passes *both* the store's structural
+/// validation and `decode`, walking generations newest-first and
+/// reporting (not failing on) everything skipped. Each skipped generation
+/// emits a `checkpoint_recovery` trace event. An empty store, or one
+/// whose every generation fails, is [`CheckpointError::NoCheckpoint`].
+pub fn load_latest_with<T>(
+    store: &SnapshotStore,
+    decode: impl Fn(&[Section]) -> Result<T, CheckpointError>,
+) -> Result<Recovered<T>, CheckpointError> {
     let mut skipped = Vec::new();
-    let generations = store.generations().map_err(CheckpointError::Store)?;
-    for g in generations.into_iter().rev() {
+    for g in store.generations()?.into_iter().rev() {
         let result = store
             .load_generation(g)
             .map_err(CheckpointError::Store)
-            .and_then(|sections| Checkpoint::decode(&sections));
+            .and_then(|sections| decode(&sections));
         match result {
-            Ok(mut checkpoint) => {
-                checkpoint.generation = Some(g);
+            Ok(checkpoint) => {
                 return Ok(Recovered {
                     generation: g,
                     checkpoint,
                     skipped,
-                });
+                })
             }
             Err(e) => {
                 let rendered = e.to_string();
@@ -655,7 +826,16 @@ pub fn load_latest(store: &SnapshotStore) -> Result<Recovered, CheckpointError> 
     Err(CheckpointError::NoCheckpoint)
 }
 
+/// [`load_latest_with`] for engine checkpoints; the returned checkpoint
+/// carries the generation it came from.
+pub fn load_latest(store: &SnapshotStore) -> Result<Recovered, CheckpointError> {
+    let mut rec = load_latest_with(store, Checkpoint::decode)?;
+    rec.checkpoint.generation = Some(rec.generation);
+    Ok(rec)
+}
+
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use itdb_lrp::Governor;
@@ -667,6 +847,13 @@ mod tests {
         db.insert_parsed("q", "(6n+1)").unwrap();
         let idb: BTreeMap<String, GeneralizedRelation> =
             db.iter().map(|(n, r)| (n.to_string(), r.clone())).collect();
+        let q = idb["q"].tuples()[0].clone();
+        let derivations = vec![Derivation {
+            pred: "p".into(),
+            tuple: idb["p"].tuples()[0].clone(),
+            rule: 1,
+            sources: vec![("q".into(), q)],
+        }];
         Checkpoint {
             generation: None,
             program_hash: 0xDEAD_BEEF_0123_4567_89AB_CDEF_0011_2233,
@@ -679,6 +866,7 @@ mod tests {
             last_growing: vec!["p".into()],
             delta: idb.clone(),
             idb,
+            derivations,
             governor: Governor::unlimited().stats(),
             tuples_derived: 100,
             tuples_inserted: 40,
@@ -710,6 +898,8 @@ mod tests {
 
     /// Round trip of a fresh encoding, and of a generation written when
     /// checkpoints still carried the tag-4 section: decoding skips it.
+    /// A generation without the derivation-log section (written before it
+    /// existed, or with provenance off) decodes with an empty log.
     #[test]
     fn encode_decode_round_trips() {
         let cp = sample_checkpoint();
@@ -717,6 +907,10 @@ mod tests {
         legacy.insert(3, legacy_fe_keys_section());
         for sections in [cp.encode(), legacy] {
             let decoded = Checkpoint::decode(&sections).unwrap();
+            assert_eq!(decoded.derivations.len(), 1);
+            let (d, e) = (&decoded.derivations[0], &cp.derivations[0]);
+            assert_eq!((&d.pred, d.rule, &d.tuple), (&e.pred, e.rule, &e.tuple));
+            assert_eq!(d.sources, e.sources);
             assert_eq!(decoded.program_hash, cp.program_hash);
             assert_eq!(decoded.edb_hash, cp.edb_hash);
             assert_eq!(decoded.stratum, cp.stratum);
@@ -734,6 +928,15 @@ mod tests {
                 assert!(d.equivalent(rel, itdb_lrp::DEFAULT_RESIDUE_BUDGET).unwrap());
             }
         }
+        let without_log: Vec<Section> = cp
+            .encode()
+            .into_iter()
+            .filter(|s| s.tag != SEC_DERIVATIONS)
+            .collect();
+        assert!(Checkpoint::decode(&without_log)
+            .unwrap()
+            .derivations
+            .is_empty());
     }
 
     #[test]
@@ -779,7 +982,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = SnapshotStore::open(&dir).unwrap();
         let cp = sample_checkpoint();
-        let w = cp.save(&store).unwrap();
+        let w = save(&store, &cp.encode()).unwrap();
         let rec = load_latest(&store).unwrap();
         assert_eq!(rec.generation, w.generation);
         assert_eq!(rec.checkpoint.generation, Some(w.generation));

@@ -599,6 +599,11 @@ fn evaluate_governed_impl(
         st.fe_safe_at = c.fe_safe_at;
         st.last_growing = c.last_growing.clone();
         st.stats = c.restore_stats();
+        // Tuples derived before the checkpoint keep their records, so the
+        // resumed model stays explainable end to end.
+        if opts.provenance {
+            st.derivations = c.derivations.clone();
+        }
         st.report.resumed_from = c.generation;
         itdb_trace::emit(|| itdb_trace::EventKind::CheckpointRestored {
             generation: c.generation.unwrap_or(0),
@@ -1157,6 +1162,7 @@ impl Fixpoint<'_> {
             last_growing: st.last_growing.clone(),
             idb: idb.clone(),
             delta: delta_out,
+            derivations: st.derivations.clone(),
             governor: self.governor.stats(),
             tuples_derived: st.stats.tuples_derived,
             tuples_inserted: st.stats.tuples_inserted,
@@ -1169,7 +1175,7 @@ impl Fixpoint<'_> {
                 .collect(),
         };
         let start = Instant::now();
-        match cp.save(&policy.store) {
+        match crate::checkpoint::save(&policy.store, &cp.encode()) {
             Ok(w) => {
                 st.report.written += 1;
                 st.report.last_generation = Some(w.generation);

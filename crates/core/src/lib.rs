@@ -54,8 +54,8 @@ pub mod service;
 pub use analyze::{analyze, ProgramInfo};
 pub use ast::{Atom, BodyAtom, Clause, CmpOp, ConstraintAtom, DataTerm, Program, TemporalTerm};
 pub use checkpoint::{
-    hash_database, hash_program, load_latest, Checkpoint, CheckpointError, CheckpointPolicy,
-    CheckpointReport, Recovered,
+    hash_database, hash_program, load_latest, load_latest_with, Checkpoint, CheckpointError,
+    CheckpointPolicy, CheckpointReport, Recovered, ResidentImage,
 };
 pub use db::Database;
 pub use engine::{

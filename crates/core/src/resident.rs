@@ -87,7 +87,7 @@
 
 use crate::analyze::{analyze, ProgramInfo};
 use crate::ast::{Atom, Program};
-use crate::checkpoint::{get_relations, get_tuple, hash_program, put_relations, put_tuple};
+use crate::checkpoint::{hash_program, ResidentImage};
 use crate::db::Database;
 use crate::engine::{
     evaluate_governed, evaluate_with, rule_labels, Derivation, EvalOptions, EvalOutcome, EvalStats,
@@ -97,7 +97,8 @@ use crate::normalize::{normalize_program, NormClause};
 use crate::query::query;
 use crate::service::{QueryResponse, QueryStatus};
 use itdb_lrp::{Error, GeneralizedRelation, GeneralizedTuple, Governor, Result, Schema};
-use itdb_store::{ByteReader, ByteWriter, Section};
+use itdb_store::Section;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -236,13 +237,6 @@ pub struct ResidentStats {
     /// Batches that failed mid-flight and were rolled back.
     pub rollbacks: u64,
 }
-
-/// Section tags for [`ResidentModel::snapshot_sections`].
-const SEC_RES_META: u8 = 21;
-const SEC_RES_EDB: u8 = 22;
-const SEC_RES_IDB: u8 = 23;
-const SEC_RES_PROV: u8 = 24;
-const RES_SNAPSHOT_VERSION: u8 = 1;
 
 /// The error a batch rolls back with when its maintenance or
 /// re-evaluation run did not converge: the governor's trip, or divergence
@@ -543,20 +537,6 @@ impl ResidentModel {
         ops: &[Op],
     ) -> std::result::Result<ApplyOutcome, ApplyError> {
         self.apply_ops_inner(ops, true)
-    }
-
-    /// Insert-only compatibility wrapper over [`Self::apply_ops`].
-    pub fn apply_batch(&mut self, facts: &[Fact]) -> Result<ApplyOutcome> {
-        let ops: Vec<Op> = facts.iter().cloned().map(Op::Assert).collect();
-        self.apply_ops(&ops).map_err(ApplyError::into_error)
-    }
-
-    /// Insert-only compatibility wrapper over
-    /// [`Self::apply_ops_full_reeval`].
-    pub fn apply_batch_full_reeval(&mut self, facts: &[Fact]) -> Result<ApplyOutcome> {
-        let ops: Vec<Op> = facts.iter().cloned().map(Op::Assert).collect();
-        self.apply_ops_full_reeval(&ops)
-            .map_err(ApplyError::into_error)
     }
 
     fn apply_ops_inner(
@@ -892,132 +872,61 @@ impl ResidentModel {
         Ok(())
     }
 
-    /// Encodes the full resident state (EDB + IDB + derivation log +
-    /// applied-through WAL sequence) as store sections — the checkpoint
-    /// half of the checkpoint+WAL pairing. Tuple and derivation order is
-    /// preserved exactly, so a restore followed by replay is
-    /// byte-identical to the uninterrupted run — including which
-    /// over-delete mode later retractions use.
+    /// The model's image as store sections (tags 21–24, see
+    /// [`ResidentImage`]), stamped with the WAL sequence it is current
+    /// through — the checkpoint half of the checkpoint+WAL pairing. The
+    /// image carries the derivation log, so later retractions use the same
+    /// over-delete mode after a restore as in the uninterrupted run.
     pub fn snapshot_sections(&self, applied_seq: u64) -> Vec<Section> {
-        let mut meta = ByteWriter::new();
-        meta.put_u8(RES_SNAPSHOT_VERSION);
-        meta.put_u64((self.program_hash >> 64) as u64);
-        meta.put_u64(self.program_hash as u64);
-        meta.put_u64(applied_seq);
-        let mut edb = ByteWriter::new();
-        put_relations(&mut edb, self.edb.relations());
-        let mut idb = ByteWriter::new();
-        put_relations(&mut idb, &self.idb);
-        let mut prov = ByteWriter::new();
-        prov.put_bool(self.provenance_complete);
-        prov.put_usize(self.derivations.len());
-        for d in &self.derivations {
-            prov.put_str(&d.pred);
-            prov.put_usize(d.rule);
-            put_tuple(&mut prov, &d.tuple);
-            prov.put_usize(d.sources.len());
-            for (p, t) in &d.sources {
-                prov.put_str(p);
-                put_tuple(&mut prov, t);
-            }
+        ResidentImage {
+            program_hash: self.program_hash,
+            applied_seq,
+            edb: Cow::Borrowed(self.edb.relations()),
+            idb: Cow::Borrowed(&self.idb),
+            provenance_complete: self.provenance_complete,
+            derivations: Cow::Borrowed(&self.derivations),
         }
-        vec![
-            Section::new(SEC_RES_META, meta.into_bytes()),
-            Section::new(SEC_RES_EDB, edb.into_bytes()),
-            Section::new(SEC_RES_IDB, idb.into_bytes()),
-            Section::new(SEC_RES_PROV, prov.into_bytes()),
-        ]
+        .encode()
     }
 
-    /// Restores a resident model from [`Self::snapshot_sections`] output.
-    /// The program must hash-match the snapshot (a snapshot is only valid
-    /// for the workload that wrote it). Returns the model and the WAL
-    /// sequence it is current through — replay starts after it. A
-    /// snapshot without a provenance section (written before retraction
-    /// support) restores fine; retractions then use the wipe fallback
-    /// until a full re-evaluation re-establishes complete provenance.
+    /// Restores a resident model from [`Self::snapshot_sections`] output:
+    /// [`ResidentImage::decode`], then [`Self::restore`].
     pub fn restore_from_sections(
         program: Program,
         opts: EvalOptions,
         sections: &[Section],
     ) -> Result<(Self, u64)> {
-        let find = |tag: u8| -> Result<&[u8]> {
-            sections
-                .iter()
-                .find(|s| s.tag == tag)
-                .map(|s| s.payload.as_slice())
-                .ok_or_else(|| Error::Eval(format!("resident snapshot: missing section {tag}")))
-        };
-        let bad = |what: &str| Error::Eval(format!("resident snapshot: truncated {what}"));
-        let mut meta = ByteReader::new(find(SEC_RES_META)?);
-        let version = meta.get_u8().map_err(|_| bad("meta"))?;
-        if version != RES_SNAPSHOT_VERSION {
-            return Err(Error::Eval(format!(
-                "resident snapshot: unsupported version {version}"
-            )));
-        }
-        let hi = meta.get_u64().map_err(|_| bad("meta"))?;
-        let lo = meta.get_u64().map_err(|_| bad("meta"))?;
-        let snapshot_hash = (u128::from(hi) << 64) | u128::from(lo);
-        let applied_seq = meta.get_u64().map_err(|_| bad("meta"))?;
+        Self::restore(program, opts, ResidentImage::decode(sections)?)
+    }
 
-        let expected = hash_program(&normalize_program(&program)?);
-        if snapshot_hash != expected {
+    /// Rebuilds a resident model from a decoded image. The program must
+    /// hash-match the image (an image is only valid for the workload that
+    /// wrote it). Returns the model and the WAL sequence it is current
+    /// through — replay starts after it. An image without provenance
+    /// restores fine; retractions then use the wipe fallback until a full
+    /// re-evaluation re-establishes complete provenance.
+    pub fn restore(
+        program: Program,
+        opts: EvalOptions,
+        image: ResidentImage<'_>,
+    ) -> Result<(Self, u64)> {
+        if image.program_hash != hash_program(&normalize_program(&program)?) {
             return Err(Error::Eval(
                 "resident snapshot was written by a different workload program".to_string(),
             ));
         }
-        let mut edb_r = ByteReader::new(find(SEC_RES_EDB)?);
-        let edb = Database::from_relations(
-            get_relations(&mut edb_r)
-                .map_err(|e| Error::Eval(format!("resident snapshot: {e}")))?,
-        );
-        let mut idb_r = ByteReader::new(find(SEC_RES_IDB)?);
-        let idb = get_relations(&mut idb_r)
-            .map_err(|e| Error::Eval(format!("resident snapshot: {e}")))?;
-
-        let (derivations, prov_flag) = match sections.iter().find(|s| s.tag == SEC_RES_PROV) {
-            None => (Vec::new(), false),
-            Some(s) => {
-                let mut r = ByteReader::new(s.payload.as_slice());
-                let flag = r.get_bool().map_err(|_| bad("provenance"))?;
-                let n = r.get_usize().map_err(|_| bad("provenance"))?;
-                let mut ds = Vec::with_capacity(n.min(65_536));
-                for _ in 0..n {
-                    let pred = r.get_str().map_err(|_| bad("provenance"))?;
-                    let rule = r.get_usize().map_err(|_| bad("provenance"))?;
-                    let tuple = get_tuple(&mut r)
-                        .map_err(|e| Error::Eval(format!("resident snapshot: {e}")))?;
-                    let ns = r.get_usize().map_err(|_| bad("provenance"))?;
-                    let mut sources = Vec::with_capacity(ns.min(1024));
-                    for _ in 0..ns {
-                        let sp = r.get_str().map_err(|_| bad("provenance"))?;
-                        let st = get_tuple(&mut r)
-                            .map_err(|e| Error::Eval(format!("resident snapshot: {e}")))?;
-                        sources.push((sp, st));
-                    }
-                    ds.push(Derivation {
-                        pred,
-                        tuple,
-                        rule,
-                        sources,
-                    });
-                }
-                (ds, flag)
-            }
-        };
         // Only complete models are maintained, hence only they are
         // snapshotted: a restored model is complete.
         let model = Self::assemble(
             program,
-            edb,
-            idb,
+            Database::from_relations(image.edb.into_owned()),
+            image.idb.into_owned(),
             opts,
-            derivations,
-            prov_flag,
+            image.derivations.into_owned(),
+            image.provenance_complete,
             QueryStatus::Complete,
         )?;
-        Ok((model, applied_seq))
+        Ok((model, image.applied_seq))
     }
 }
 
@@ -1082,12 +991,12 @@ mod tests {
     fn incremental_apply_matches_full_reeval() {
         let mut inc = model();
         let mut full = model();
-        let batch = vec![fact(
+        let batch = vec![assert_op(
             "course",
             "(168n+30, 168n+32; compilers) : T2 = T1 + 2",
         )];
-        let a = inc.apply_batch(&batch).unwrap();
-        let b = full.apply_batch_full_reeval(&batch).unwrap();
+        let a = inc.apply_ops(&batch).unwrap();
+        let b = full.apply_ops_full_reeval(&batch).unwrap();
         assert_eq!(a.applied, 1);
         assert_eq!(b.applied, 1);
         assert!(!a.full_reeval, "positive program propagates incrementally");
@@ -1097,14 +1006,14 @@ mod tests {
     #[test]
     fn duplicate_batch_is_idempotent() {
         let mut m = model();
-        let batch = vec![fact(
+        let batch = vec![assert_op(
             "course",
             "(168n+30, 168n+32; compilers) : T2 = T1 + 2",
         )];
-        let first = m.apply_batch(&batch).unwrap();
+        let first = m.apply_ops(&batch).unwrap();
         assert_eq!((first.applied, first.duplicates), (1, 0));
         let before = m.idb().clone();
-        let second = m.apply_batch(&batch).unwrap();
+        let second = m.apply_ops(&batch).unwrap();
         assert_eq!((second.applied, second.duplicates), (0, 1));
         assert_eq!(second.derived_inserted, 0, "no re-derivation");
         for (pred, rel) in m.idb() {
@@ -1120,7 +1029,7 @@ mod tests {
     fn intensional_facts_are_rejected() {
         let mut m = model();
         let err = m
-            .apply_batch(&[fact(
+            .apply_ops(&[assert_op(
                 "problems",
                 "(168n+10, 168n+12; database) : T2 = T1 + 2",
             )])
@@ -1131,7 +1040,7 @@ mod tests {
     #[test]
     fn schema_mismatch_is_rejected() {
         let mut m = model();
-        let err = m.apply_batch(&[fact("course", "(5n+1)")]).unwrap_err();
+        let err = m.apply_ops(&[assert_op("course", "(5n+1)")]).unwrap_err();
         assert!(err.to_string().contains("schema"), "{err}");
     }
 
@@ -1147,7 +1056,7 @@ mod tests {
         edb.insert_parsed("veto", "(14n+1; a)").unwrap();
         let mut m =
             ResidentModel::new(program.clone(), edb.clone(), EvalOptions::default()).unwrap();
-        let out = m.apply_batch(&[fact("veto", "(14n+8; a)")]).unwrap();
+        let out = m.apply_ops(&[assert_op("veto", "(14n+8; a)")]).unwrap();
         assert!(out.full_reeval, "negation over changed pred must fall back");
         // Oracle: full evaluation over the updated EDB.
         let mut edb2 = edb;
@@ -1166,7 +1075,7 @@ mod tests {
     #[test]
     fn new_pure_edb_predicate_is_queryable() {
         let mut m = model();
-        let out = m.apply_batch(&[fact("audit", "(24n+3; ops)")]).unwrap();
+        let out = m.apply_ops(&[assert_op("audit", "(24n+3; ops)")]).unwrap();
         assert_eq!(out.applied, 1);
         assert_eq!(out.strata_touched, 0, "no rules reference audit");
         assert!(m.relation("audit").is_some());
@@ -1175,22 +1084,25 @@ mod tests {
     #[test]
     fn snapshot_round_trips_and_replay_is_byte_identical() {
         let mut uninterrupted = model();
-        let b1 = vec![fact(
+        let b1 = vec![assert_op(
             "course",
             "(168n+30, 168n+32; compilers) : T2 = T1 + 2",
         )];
-        let b2 = vec![fact("course", "(168n+50, 168n+52; logic) : T2 = T1 + 2")];
-        uninterrupted.apply_batch(&b1).unwrap();
+        let b2 = vec![assert_op(
+            "course",
+            "(168n+50, 168n+52; logic) : T2 = T1 + 2",
+        )];
+        uninterrupted.apply_ops(&b1).unwrap();
         // Snapshot mid-stream (as if compaction ran here at WAL seq 1).
         let sections = uninterrupted.snapshot_sections(1);
-        uninterrupted.apply_batch(&b2).unwrap();
+        uninterrupted.apply_ops(&b2).unwrap();
 
         let program = parse_program(PROGRAM).unwrap();
         let (mut restored, seq) =
             ResidentModel::restore_from_sections(program, EvalOptions::default(), &sections)
                 .unwrap();
         assert_eq!(seq, 1);
-        restored.apply_batch(&b2).unwrap(); // replay everything after seq 1
+        restored.apply_ops(&b2).unwrap(); // replay everything after seq 1
         for (pred, rel) in uninterrupted.idb() {
             assert_eq!(
                 rel.tuples(),
@@ -1535,7 +1447,7 @@ mod tests {
         // restores; retraction then runs in wipe mode.
         let stripped: Vec<Section> = sections
             .iter()
-            .filter(|s| s.tag != SEC_RES_PROV)
+            .filter(|s| s.tag != crate::checkpoint::SEC_RES_PROV)
             .cloned()
             .collect();
         let (mut old, _) =

@@ -2,13 +2,16 @@
 //! model an uninterrupted run computes, for random programs and fuels
 //! (proptest ×64) and for every governor trip reason; damaged or stale
 //! snapshots must be rejected with typed errors and recovery must fall
-//! back to the last good generation.
+//! back to the last good generation; committed images written by earlier
+//! encoders must still restore byte for byte.
 
 use itdb_core::{
-    evaluate_with, load_latest, parse_program, resume_with, CancelToken, CheckpointError,
-    CheckpointPolicy, Database, EvalOptions, EvalOutcome, Program, SnapshotStore,
+    evaluate_with, explain, load_latest, parse_program, resume_with, CancelToken, CheckpointError,
+    CheckpointPolicy, Database, DerivationNode, EvalOptions, EvalOutcome, Program, ResidentModel,
+    SnapshotStore,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -172,6 +175,73 @@ fn resume_after_cancellation_reaches_the_reference_model() {
     ));
 }
 
+/// Is every leaf of `node` (a node without a rule) an extensional fact?
+fn leaves_are_extensional(node: &DerivationNode, extensional: &BTreeSet<String>) -> bool {
+    match node.rule {
+        None => extensional.contains(&node.pred),
+        Some(_) => node
+            .children
+            .iter()
+            .all(|c| leaves_are_extensional(c, extensional)),
+    }
+}
+
+/// Checkpoints carry the derivation log: a provenance run tripped by fuel
+/// and resumed with provenance on can still explain every tuple,
+/// including those derived before the checkpoint, down to EDB leaves.
+#[test]
+fn resumed_provenance_run_explains_every_tuple() {
+    let (program, db) = workload();
+    let dir = temp_store_dir("provenance");
+    let store = Arc::new(SnapshotStore::open(&dir).unwrap());
+    let provenance = EvalOptions {
+        provenance: true,
+        ..unlimited()
+    };
+    let tripped = evaluate_with(
+        &program,
+        &db,
+        &EvalOptions {
+            max_derived_tuples: Some(3),
+            checkpoint: Some(CheckpointPolicy::on_trip(store.clone())),
+            ..provenance.clone()
+        },
+    )
+    .unwrap();
+    assert!(matches!(tripped.outcome, EvalOutcome::Interrupted(_)));
+    assert!(
+        !tripped.derivations.is_empty(),
+        "the trip came after inserts"
+    );
+    let recovered = load_latest(&store).unwrap();
+    let resumed = resume_with(&program, &db, &provenance, &recovered.checkpoint).unwrap();
+    assert!(resumed.outcome.converged());
+
+    for (pred, rel) in &resumed.idb {
+        for tuple in rel.tuples() {
+            let shown = tuple.to_string();
+            assert!(
+                resumed
+                    .derivations
+                    .iter()
+                    .any(|d| &d.pred == pred && d.tuple.to_string() == shown),
+                "{pred} {shown} has no derivation record"
+            );
+            let t = (0..1000)
+                .find(|&t| tuple.contains(&[t], &[]))
+                .expect("a ground point within the first 1000 instants");
+            let tree = explain(&resumed, pred, &[t], &[])
+                .unwrap_or_else(|| panic!("{pred}[{t}] holds but is not explained"));
+            assert!(
+                leaves_are_extensional(&tree, &resumed.info.extensional),
+                "{pred}[{t}]: an intensional fact rendered as a leaf in\n{}",
+                tree.render(&resumed.rule_labels)
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn every_n_checkpoint_of_a_finished_run_resumes_to_the_same_model() {
     let (program, db) = workload();
@@ -299,6 +369,74 @@ fn corruption_matrix_recovers_the_last_good_generation() {
         load_latest(&store),
         Err(CheckpointError::NoCheckpoint)
     ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Golden on-disk images: `fixtures/` holds one engine checkpoint and one
+// resident image, written by the encoders as they stood before the two
+// images shared one codec. Both must still restore, and re-encoding must
+// reproduce the committed sections: the on-disk formats do not drift.
+
+/// A store whose generation 1 is the committed `fixture`.
+fn fixture_store(fixture: &str) -> (PathBuf, SnapshotStore) {
+    let dir = temp_store_dir("golden");
+    let store = SnapshotStore::open(&dir).unwrap();
+    let src = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(fixture);
+    std::fs::copy(src, dir.join("snap-00000000000000000001.itdb")).unwrap();
+    (dir, store)
+}
+
+/// `engine.itdb`: [`workload`] checkpointed on a tuple-fuel trip at 3.
+#[test]
+fn golden_engine_checkpoint_resumes_to_the_uninterrupted_model() {
+    let (program, db) = workload();
+    let (dir, store) = fixture_store("engine.itdb");
+    let checkpoint = load_latest(&store).unwrap().checkpoint;
+    assert!(checkpoint.derivations.is_empty(), "written without a log");
+    assert!(checkpoint.encode() == store.load_generation(1).unwrap());
+    let resumed = resume_with(&program, &db, &unlimited(), &checkpoint).unwrap();
+    assert!(resumed.outcome.converged());
+    assert_eq!(resumed.checkpoints.resumed_from, Some(1));
+    let reference = evaluate_with(&program, &db, &unlimited()).unwrap();
+    assert_same_model(&resumed, &reference, "golden engine checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `resident.itdb`: Example 4.1's course/problems rules with provenance
+/// on, seeded with `(168n+8, 168n+10; database) : T2 = T1 + 2`, taken at
+/// WAL sequence 2 — after asserting a `compilers` course, then asserting
+/// a `logic` course and retracting the seed in one batch.
+#[test]
+fn golden_resident_image_restores_and_re_encodes_to_the_committed_bytes() {
+    let program = parse_program(
+        "problems[t1 + 2, t2 + 2](C) <- course[t1, t2](C).\n\
+         problems[t1 + 48, t2 + 48](C) <- problems[t1, t2](C).",
+    )
+    .unwrap();
+    let opts = EvalOptions {
+        provenance: true,
+        ..EvalOptions::default()
+    };
+    let (dir, store) = fixture_store("resident.itdb");
+    let sections = store.load_generation(1).unwrap();
+    let (model, seq) = ResidentModel::restore_from_sections(program, opts, &sections).unwrap();
+    assert_eq!(seq, 2);
+    assert!(model.provenance_complete() && !model.derivations().is_empty());
+    assert!(
+        model.snapshot_sections(seq) == sections,
+        "re-encoding drifted"
+    );
+    // The restored IDB is the model of the restored EDB.
+    let oracle = evaluate_with(model.program(), model.edb(), &EvalOptions::default()).unwrap();
+    for (pred, rel) in model.idb() {
+        assert!(
+            rel.equivalent(&oracle.idb[pred], 100_000).unwrap(),
+            "{pred}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -13,7 +13,7 @@
 //!    batch sequence lands on *byte-identical* relations (tuple vectors,
 //!    not just sets): the property WAL replay and crash recovery build on.
 
-use itdb_core::{parse_program, Database, EvalOptions, Fact, ResidentModel};
+use itdb_core::{parse_program, Database, EvalOptions, Fact, Op, ResidentModel};
 use itdb_lrp::parser::parse_tuple;
 use proptest::prelude::*;
 
@@ -80,7 +80,7 @@ fn batches_strategy() -> impl Strategy<Value = Vec<Vec<FactSpec>>> {
     )
 }
 
-fn materialize(spec: &FactSpec) -> Fact {
+fn materialize(spec: &FactSpec) -> Op {
     let (kind, period_idx, offset, datum) = spec;
     let period = [6i64, 8, 12][*period_idx as usize];
     let offset = offset % period;
@@ -90,10 +90,10 @@ fn materialize(spec: &FactSpec) -> Fact {
         1 => ("d", format!("({period}n+{offset}; {c})")),
         _ => ("dropped", format!("({period}n+{offset}; {c})")),
     };
-    Fact {
+    Op::Assert(Fact {
         pred: pred.to_string(),
         tuple: parse_tuple(&text).unwrap(),
-    }
+    })
 }
 
 fn opts() -> EvalOptions {
@@ -121,10 +121,10 @@ proptest! {
         let mut replay = ResidentModel::new(program, edb(&rw), opts()).unwrap();
 
         for specs in &batch_specs {
-            let batch: Vec<Fact> = specs.iter().map(materialize).collect();
-            let a = inc.apply_batch(&batch).unwrap();
-            let b = oracle.apply_batch_full_reeval(&batch).unwrap();
-            let r = replay.apply_batch(&batch).unwrap();
+            let batch: Vec<Op> = specs.iter().map(materialize).collect();
+            let a = inc.apply_ops(&batch).unwrap();
+            let b = oracle.apply_ops_full_reeval(&batch).unwrap();
+            let r = replay.apply_ops(&batch).unwrap();
 
             prop_assert_eq!(a.applied, b.applied, "applied counts agree");
             prop_assert_eq!(a.duplicates, b.duplicates, "duplicate counts agree");
@@ -166,14 +166,14 @@ proptest! {
     ) {
         let program = parse_program(&rw.source).unwrap();
         let mut m = ResidentModel::new(program, edb(&rw), opts()).unwrap();
-        let batch: Vec<Fact> = specs.iter().map(materialize).collect();
-        m.apply_batch(&batch).unwrap();
+        let batch: Vec<Op> = specs.iter().map(materialize).collect();
+        m.apply_ops(&batch).unwrap();
         let before: Vec<(String, Vec<_>)> = m
             .idb()
             .iter()
             .map(|(p, r)| (p.clone(), r.tuples().to_vec()))
             .collect();
-        let again = m.apply_batch(&batch).unwrap();
+        let again = m.apply_ops(&batch).unwrap();
         prop_assert_eq!(again.applied, 0, "everything is a duplicate");
         prop_assert_eq!(again.derived_inserted, 0, "nothing re-derives");
         let after: Vec<(String, Vec<_>)> = m

@@ -89,28 +89,6 @@ impl PeriodicModel {
 /// A ground fact's identity: `(predicate, data vector)`.
 pub type FactKey = (String, Vec<DataValue>);
 
-/// Everything needed to continue an interrupted detection exactly where
-/// it stopped: the closed-form model of the completed strata, the
-/// accumulator's envelope, and the tripped stratum's fully saturated
-/// simulation prefix (`history[t]` = facts at time `t`, so the resumed
-/// run continues from `t = simulated_to` instead of `t = 0`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DlCheckpoint {
-    /// Strata whose closed-form models are fully inside `sets`.
-    pub completed_strata: usize,
-    /// Accumulated closed-form extensions of the completed strata.
-    pub sets: BTreeMap<FactKey, EpSet>,
-    /// The accumulator's offset envelope so far.
-    pub offset: u64,
-    /// The accumulator's period envelope so far.
-    pub period: u64,
-    /// The latest detection time among completed strata.
-    pub detected_at: u64,
-    /// The tripped stratum's saturated time steps, `history[t]` = facts
-    /// holding at `t`.
-    pub history: Vec<BTreeSet<FactKey>>,
-}
-
 /// How a governed Datalog1S detection ended. Mirrors Templog's
 /// `TlOutcome`: strata run to completion lowest first, so the partial
 /// model is exact on the completed strata; the tripped stratum
@@ -173,85 +151,36 @@ pub fn evaluate_governed(
     opts: &DetectOptions,
     governor: &Arc<Governor>,
 ) -> Result<DlEvaluation> {
-    evaluate_governed_resumable(p, edb, opts, governor, None).map(|(ev, _)| ev)
-}
-
-/// Like [`evaluate_governed`], but interruption also yields a
-/// [`DlCheckpoint`] from which [`evaluate_governed_resumable`] can
-/// continue the detection — re-validating nothing it already simulated:
-/// completed strata are restored in closed form, and the tripped
-/// stratum's simulation resumes from time `simulated_to` with its
-/// repetition signatures rebuilt from the saved prefix.
-///
-/// A resumed run that is never interrupted again produces a model
-/// identical to an uninterrupted run (the prefix replay feeds the same
-/// signature map the original run would have built).
-pub fn evaluate_governed_resumable(
-    p: &Program,
-    edb: &ExternalEdb,
-    opts: &DetectOptions,
-    governor: &Arc<Governor>,
-    resume: Option<DlCheckpoint>,
-) -> Result<(DlEvaluation, Option<DlCheckpoint>)> {
     let _scope = governor.enter();
     let _span = itdb_trace::span(itdb_trace::SpanKind::Evaluate, "datalog1s");
     let v = validate(p)?;
     check_edb_disjoint(&v, edb)?;
     let mut acc = ModelAccumulator::new(edb);
     let total_strata = v.strata.len();
-    let (start_stratum, mut seed_history) = match resume {
-        Some(cp) => {
-            if cp.completed_strata > total_strata {
-                return Err(Error::Eval(format!(
-                    "checkpoint claims {} completed strata but the program has {}",
-                    cp.completed_strata, total_strata
-                )));
-            }
-            acc.restore(cp.sets, cp.offset, cp.period, cp.detected_at);
-            (cp.completed_strata, cp.history)
-        }
-        None => (0, Vec::new()),
-    };
-    for (idx, stratum) in v.strata.iter().enumerate().skip(start_stratum) {
+    for (idx, stratum) in v.strata.iter().enumerate() {
         let sub = stratum_program(p, stratum);
-        // Only the first resumed stratum inherits the saved prefix.
-        let mut history = std::mem::take(&mut seed_history);
+        let mut history = Vec::new();
         match evaluate_stratum(&sub, &v, stratum, &acc.oracle, opts, &mut history) {
             Ok(m) => acc.fold_stratum(m)?,
             Err(Error::Interrupted(reason)) => {
-                let simulated_to = history.len() as u64;
-                let checkpoint = DlCheckpoint {
-                    completed_strata: idx,
-                    sets: acc.sets.clone(),
-                    offset: acc.offset,
-                    period: acc.period,
-                    detected_at: acc.detected_at,
-                    history: history.clone(),
-                };
                 acc.fold_finite_prefix(&history);
-                return Ok((
-                    DlEvaluation {
-                        model: acc.finish(),
-                        outcome: DlOutcome::Interrupted {
-                            reason,
-                            completed_strata: idx,
-                            total_strata,
-                            simulated_to,
-                        },
+                return Ok(DlEvaluation {
+                    model: acc.finish(),
+                    outcome: DlOutcome::Interrupted {
+                        reason,
+                        completed_strata: idx,
+                        total_strata,
+                        simulated_to: history.len() as u64,
                     },
-                    Some(checkpoint),
-                ));
+                });
             }
             Err(e) => return Err(e),
         }
     }
-    Ok((
-        DlEvaluation {
-            model: acc.finish(),
-            outcome: DlOutcome::Complete,
-        },
-        None,
-    ))
+    Ok(DlEvaluation {
+        model: acc.finish(),
+        outcome: DlOutcome::Complete,
+    })
 }
 
 /// Evaluates a validated (stratified, causal) program against an external
@@ -318,25 +247,6 @@ impl ModelAccumulator {
         }
     }
 
-    /// Restores a checkpoint's accumulated state: the completed strata's
-    /// closed forms re-enter both the model and the oracle the next
-    /// stratum reads.
-    fn restore(
-        &mut self,
-        sets: BTreeMap<FactKey, EpSet>,
-        offset: u64,
-        period: u64,
-        detected_at: u64,
-    ) {
-        for (key, set) in &sets {
-            self.oracle.insert(key.clone(), set.clone());
-        }
-        self.sets = sets;
-        self.offset = offset;
-        self.period = period.max(1);
-        self.detected_at = detected_at;
-    }
-
     fn fold_stratum(&mut self, m: PeriodicModel) -> Result<()> {
         self.offset = self.offset.max(m.offset);
         self.period = lcm(self.period as i64, m.period as i64)? as u64;
@@ -376,12 +286,10 @@ impl ModelAccumulator {
 }
 
 /// Evaluates one stratum's clauses against the oracle of lower strata and
-/// external inputs. `history` is an in/out parameter: a caller catching a
-/// governor trip can salvage the fully saturated time steps simulated so
-/// far (`history[t]` = this stratum's facts holding at time `t`), and a
-/// resumed run passes the salvaged prefix back in — already-simulated
-/// steps are replayed into the repetition-signature map without being
-/// recomputed, so simulation continues at `t = history.len()`.
+/// external inputs. `history` starts empty and is an out parameter: a
+/// caller catching a governor trip can salvage the fully saturated time
+/// steps simulated so far (`history[t]` = this stratum's facts holding at
+/// time `t`).
 fn evaluate_stratum(
     p: &Program,
     v: &Validated,
@@ -412,12 +320,8 @@ fn evaluate_stratum(
                 opts.max_time
             )));
         }
-        // A pre-seeded step (resume) is replayed into the signature map;
-        // anything beyond the prefix is simulated as usual.
-        if (t as usize) >= history.len() {
-            let state = saturate_time(p, stratum, oracle, history, t)?;
-            history.push(state);
-        }
+        let state = saturate_time(p, stratum, oracle, history, t)?;
+        history.push(state);
 
         if t >= detect_from {
             let w = window as usize;
@@ -942,80 +846,6 @@ mod tests {
             }
             DlOutcome::Complete => panic!("cancelled run should not complete"),
         }
-    }
-
-    /// The resume path end to end: a tripped run's checkpoint, pushed
-    /// through the store wire format, continues from `simulated_to` and
-    /// lands on exactly the model an uninterrupted run computes — the
-    /// replayed prefix rebuilds the same repetition-signature map.
-    #[test]
-    fn resumed_run_completes_identically_to_uninterrupted_run() {
-        use itdb_lrp::governor::fault::{FaultKind, FaultPlan};
-        use itdb_lrp::{Governor, GovernorConfig};
-        // Two strata: `a` detects within a few dozen governor checks; `p`
-        // needs a few hundred. Arming a deterministic trip at check 200
-        // lands mid-`p` with `a` already folded — but the assertions hold
-        // wherever the trip lands, which is the point of resume.
-        let p = parse_program("a[0]. a[t + 2] <- a[t]. p[0] <- a[0]. p[t + 80] <- p[t].").unwrap();
-        let opts = DetectOptions::default();
-        let g = Governor::new(GovernorConfig::default());
-        FaultPlan {
-            after_checks: 200,
-            kind: FaultKind::Cancel,
-        }
-        .arm(&g);
-        let (ev, cp) =
-            evaluate_governed_resumable(&p, &ExternalEdb::new(), &opts, &g, None).unwrap();
-        assert!(!ev.outcome.complete(), "fault-injected run should trip");
-        let cp = cp.expect("interrupted run must yield a checkpoint");
-        match &ev.outcome {
-            DlOutcome::Interrupted { simulated_to, .. } => {
-                assert_eq!(cp.history.len() as u64, *simulated_to);
-            }
-            DlOutcome::Complete => unreachable!(),
-        }
-
-        // Persist and reload through the snapshot wire format, as a
-        // process restart would.
-        let cp = crate::checkpoint::decode(&crate::checkpoint::encode(&cp)).unwrap();
-
-        let g2 = Governor::new(GovernorConfig::default());
-        let (resumed, rest) =
-            evaluate_governed_resumable(&p, &ExternalEdb::new(), &opts, &g2, Some(cp)).unwrap();
-        assert!(rest.is_none(), "completed resume yields no checkpoint");
-        assert!(resumed.outcome.complete());
-
-        let reference = evaluate(&p, &ExternalEdb::new(), &opts).unwrap();
-        for pred in ["a", "p"] {
-            assert_eq!(
-                resumed.model.times(pred, &[]),
-                reference.times(pred, &[]),
-                "{pred} diverged between resumed and uninterrupted runs"
-            );
-        }
-    }
-
-    #[test]
-    fn resume_rejects_checkpoint_with_impossible_strata() {
-        use itdb_lrp::{Governor, GovernorConfig};
-        let p = parse_program("p[0]. p[t + 5] <- p[t].").unwrap();
-        let g = Governor::new(GovernorConfig::default());
-        let bogus = DlCheckpoint {
-            completed_strata: 7,
-            sets: BTreeMap::new(),
-            offset: 0,
-            period: 1,
-            detected_at: 0,
-            history: Vec::new(),
-        };
-        let res = evaluate_governed_resumable(
-            &p,
-            &ExternalEdb::new(),
-            &DetectOptions::default(),
-            &g,
-            Some(bogus),
-        );
-        assert!(res.is_err(), "7 strata claimed against a 1-stratum program");
     }
 
     #[test]

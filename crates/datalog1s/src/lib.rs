@@ -33,7 +33,6 @@
 
 pub mod ast;
 pub mod bridge;
-pub mod checkpoint;
 pub mod epset;
 pub mod ground;
 pub mod parser;
@@ -41,7 +40,7 @@ pub mod parser;
 pub use ast::{validate, Atom, Clause, DataTerm, Program, Time, Validated};
 pub use epset::EpSet;
 pub use ground::{
-    evaluate, evaluate_governed, evaluate_governed_resumable, DetectOptions, DlCheckpoint,
-    DlEvaluation, DlOutcome, ExternalEdb, FactKey, PeriodicModel,
+    evaluate, evaluate_governed, DetectOptions, DlEvaluation, DlOutcome, ExternalEdb, FactKey,
+    PeriodicModel,
 };
 pub use parser::{parse_atom, parse_program};

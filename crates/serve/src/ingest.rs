@@ -30,9 +30,11 @@
 //!    log (harmless — replay skips records at or below the checkpoint
 //!    sequence), never missing log.
 //!
-//! Boot recovery inverts the pipeline: restore the newest valid
-//! checkpoint (or start from the workload file), then replay every WAL
-//! record past the checkpoint's sequence. Replay refuses a **sequence
+//! Boot recovery inverts the pipeline: restore the newest checkpoint that
+//! decodes, walking back past any generation that does not (the engine's
+//! recovery walk, [`itdb_core::checkpoint::load_latest_with`]), or start
+//! from the workload file; then replay every WAL record past the
+//! checkpoint's sequence. Replay refuses a **sequence
 //! gap**: if the first record past the restored sequence is not the
 //! immediate successor, a compacted segment the (lost or unreadable)
 //! checkpoint covered is missing, and replaying the surviving suffix
@@ -45,7 +47,10 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use itdb_core::{ApplyError, EvalOptions, Fact, Op, QueryStatus, ResidentModel, Workload};
+use itdb_core::checkpoint::{load_latest_with, save};
+use itdb_core::{
+    ApplyError, EvalOptions, Fact, Op, QueryStatus, ResidentImage, ResidentModel, Workload,
+};
 use itdb_lrp::parser::parse_tuple;
 use itdb_store::{ByteReader, ByteWriter, Section, SnapshotStore, Wal, WalOptions, WalStats};
 use itdb_trace::EventKind;
@@ -327,34 +332,26 @@ impl DedupWindow {
     /// section of pre-retraction checkpoints (retracted counts of 0).
     fn decode_section(cap: usize, sections: &[Section]) -> Self {
         let mut window = DedupWindow::new(cap);
-        if let Some(section) = sections.iter().find(|s| s.tag == SEC_INGEST_DEDUP) {
-            let mut r = ByteReader::new(&section.payload);
-            let Ok(count) = r.get_usize() else {
-                return window;
-            };
-            for _ in 0..count {
-                let (Ok(id), Ok(applied), Ok(duplicates), Ok(retracted)) =
-                    (r.get_str(), r.get_u64(), r.get_u64(), r.get_u64())
-                else {
-                    break;
-                };
-                window.insert(id, applied, duplicates, retracted);
-            }
-            return window;
-        }
-        let Some(section) = sections.iter().find(|s| s.tag == SEC_INGEST_DEDUP_V1) else {
-            return window;
+        let find = |tag| sections.iter().find(|s| s.tag == tag);
+        let (section, v2) = match (find(SEC_INGEST_DEDUP), find(SEC_INGEST_DEDUP_V1)) {
+            (Some(s), _) => (s, true),
+            (None, Some(s)) => (s, false),
+            (None, None) => return window,
         };
         let mut r = ByteReader::new(&section.payload);
         let Ok(count) = r.get_usize() else {
             return window;
         };
         for _ in 0..count {
-            let (Ok(id), Ok(applied), Ok(duplicates)) = (r.get_str(), r.get_u64(), r.get_u64())
-            else {
+            let (Ok(id), Ok(applied), Ok(duplicates), Ok(retracted)) = (
+                r.get_str(),
+                r.get_u64(),
+                r.get_u64(),
+                if v2 { r.get_u64() } else { Ok(0) },
+            ) else {
                 break;
             };
-            window.insert(id, applied, duplicates, 0);
+            window.insert(id, applied, duplicates, retracted);
         }
         window
     }
@@ -403,13 +400,14 @@ pub struct Ingest {
 }
 
 impl Ingest {
-    /// Opens (or creates) the WAL directory, restores the newest valid
-    /// resident checkpoint, replays the log past it, and returns the
-    /// caught-up subsystem. The workload file supplies the program (a
-    /// checkpoint written by a different program is refused and ingestion
-    /// starts fresh from the file). A workload whose evaluation diverges
-    /// or trips `config.eval`'s governor is refused: a partial model
-    /// cannot be maintained under writes.
+    /// Opens (or creates) the WAL directory, restores the newest resident
+    /// checkpoint that decodes (skipping damaged newer generations, each
+    /// with a `checkpoint_recovery` event), replays the log past it, and
+    /// returns the caught-up subsystem. The workload file supplies the
+    /// program (a checkpoint written by a different program is refused and
+    /// ingestion starts fresh from the file). A workload whose evaluation
+    /// diverges or trips `config.eval`'s governor is refused: a partial
+    /// model cannot be maintained under writes.
     pub fn open(config: IngestConfig, workload: &Workload) -> io::Result<Ingest> {
         config
             .validate()
@@ -419,23 +417,27 @@ impl Ingest {
         let store =
             SnapshotStore::open(config.wal_dir.join("checkpoint")).map_err(io::Error::other)?;
         let mut boot = IngestBootReport::default();
-        let (mut model, mut dedup, mut applied_seq) = match store.load_latest() {
-            Ok(rec) => match rec.snapshot {
-                Some((_, sections)) => match ResidentModel::restore_from_sections(
-                    workload.program.clone(),
-                    opts.clone(),
-                    &sections,
-                ) {
-                    Ok((model, seq)) => {
-                        boot.restored_checkpoint = true;
-                        let dedup = DedupWindow::decode_section(config.dedup_window, &sections);
-                        (model, dedup, seq)
-                    }
-                    Err(_) => Self::fresh(workload, &opts, config.dedup_window)?,
-                },
-                None => Self::fresh(workload, &opts, config.dedup_window)?,
-            },
-            Err(_) => Self::fresh(workload, &opts, config.dedup_window)?,
+        // The newest generation that decodes; older ones are only reached
+        // past a damaged newer one. An image of another workload program
+        // decodes but is refused by `restore`: ingestion starts fresh.
+        let restored = load_latest_with(&store, |sections| {
+            let image = ResidentImage::decode(sections)?;
+            Ok((
+                image,
+                DedupWindow::decode_section(config.dedup_window, sections),
+            ))
+        })
+        .ok()
+        .and_then(|rec| {
+            let (image, dedup) = rec.checkpoint;
+            let (model, seq) =
+                ResidentModel::restore(workload.program.clone(), opts.clone(), image).ok()?;
+            Some((model, dedup, seq))
+        });
+        boot.restored_checkpoint = restored.is_some();
+        let (mut model, mut dedup, mut applied_seq) = match restored {
+            Some(state) => state,
+            None => Self::fresh(workload, &opts, config.dedup_window)?,
         };
         let (mut wal, recovery) =
             Wal::open(&config.wal_dir, config.wal).map_err(io::Error::other)?;
@@ -699,7 +701,8 @@ impl Ingest {
         })
     }
 
-    /// Writes a resident checkpoint and compacts the log through it.
+    /// Writes a resident checkpoint through the shared save path (which
+    /// emits `checkpoint_written`) and compacts the log through it.
     /// Ordering matters: the snapshot is durably on disk *before* any
     /// segment is deleted, so a crash between the two steps can only
     /// leave surplus log, never a gap. Failure is survivable — the WAL
@@ -707,7 +710,7 @@ impl Ingest {
     fn checkpoint_locked(&self, inner: &mut IngestInner) {
         let mut sections = inner.model.snapshot_sections(inner.applied_seq);
         sections.push(inner.dedup.encode_section());
-        match inner.store.write(&sections) {
+        match save(&inner.store, &sections) {
             Ok(_) => {
                 self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
                 inner.records_since_checkpoint = 0;
@@ -851,6 +854,25 @@ mod tests {
             !decoded.ops[0].is_retract(),
             "pre-retraction records are all asserts"
         );
+    }
+
+    /// The v2 dedup section wins; a pre-retraction checkpoint's v1
+    /// section decodes with zero retractions.
+    #[test]
+    fn dedup_sections_of_both_versions_decode() {
+        let mut w = ByteWriter::new();
+        w.put_usize(1);
+        w.put_str("old-req");
+        w.put_u64(2);
+        w.put_u64(1);
+        let v1 = Section::new(SEC_INGEST_DEDUP_V1, w.into_bytes());
+        let old = DedupWindow::decode_section(4, std::slice::from_ref(&v1));
+        assert_eq!(old.get("old-req"), Some((2, 1, 0)));
+        let mut window = DedupWindow::new(4);
+        window.insert("new-req".to_string(), 3, 0, 1);
+        let both = DedupWindow::decode_section(4, &[v1, window.encode_section()]);
+        assert_eq!(both.get("new-req"), Some((3, 0, 1)));
+        assert_eq!(both.get("old-req"), None, "v1 ignored beside v2");
     }
 
     #[test]
@@ -1194,6 +1216,84 @@ mod tests {
         assert_eq!(
             uninterrupted, replayed,
             "exactly-once replay is byte-identical"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Events named `name` among those `sink` captured since the last take.
+    fn count_events(sink: &itdb_trace::MemorySink, name: &str) -> usize {
+        sink.take().iter().filter(|e| e.kind.name() == name).count()
+    }
+
+    /// A newest generation that passes the store's CRC check but does not
+    /// decode is skipped: boot restores the generation below it and
+    /// replays the log past that, rather than starting fresh over a log
+    /// whose prefix is compacted away.
+    #[test]
+    fn undecodable_newest_checkpoint_falls_back_to_the_previous_generation() {
+        let dir = temp_dir("undecodable");
+        let workload = parse_workload(WORKLOAD).unwrap();
+        let cfg = |checkpoint_every| IngestConfig {
+            checkpoint_every,
+            // Tiny segments: every record seals its own segment, so the
+            // checkpoint at seq 4 compacts the log through 4.
+            wal: WalOptions {
+                segment_bytes: 64,
+                ..WalOptions::default()
+            },
+            ..IngestConfig::new(&dir)
+        };
+        let submit = |ingest: &Ingest, i: u64| {
+            let body = format!(
+                r#"{{"facts":[{{"pred":"course","tuple":"(168n+{}, 168n+{}; extra) : T2 = T1 + 2"}}]}}"#,
+                30 + 10 * i,
+                32 + 10 * i
+            );
+            ingest.submit(&format!("req-{i}"), ops(&body)).unwrap();
+        };
+        let events = std::sync::Arc::new(itdb_trace::MemorySink::new());
+        let sink = itdb_trace::add_sink(events.clone());
+        {
+            let ingest = Ingest::open(cfg(4), &workload).unwrap();
+            (1..=4).for_each(|i| submit(&ingest, i));
+            assert_eq!(ingest.checkpoints_written(), 1, "cadence fired at 4");
+        }
+        assert_eq!(
+            count_events(&events, "checkpoint_written"),
+            1,
+            "the cadence checkpoint emits one checkpoint_written event"
+        );
+        let uninterrupted = {
+            let ingest = Ingest::open(cfg(u64::MAX), &workload).unwrap();
+            (5..=8).for_each(|i| submit(&ingest, i));
+            // Dropped without a flush: no checkpoint past seq 4.
+            ingest.with_model(|m| m.snapshot_sections(8))
+        };
+        // A newer generation whose resident IDB section is cut in half: its
+        // CRC matches the cut payload, so only the decoder can reject it.
+        let store = SnapshotStore::open(dir.join("checkpoint")).unwrap();
+        let good = store.generations().unwrap()[0];
+        let mut sections = store.load_generation(good).unwrap();
+        let idb = sections
+            .iter_mut()
+            .find(|s| s.tag == itdb_core::checkpoint::SEC_RES_IDB)
+            .unwrap();
+        idb.payload.truncate(idb.payload.len() / 2);
+        let bad = store.write(&sections).unwrap().generation;
+        assert!(store.load_generation(bad).is_ok(), "passes the CRC check");
+        events.take();
+
+        let reopened = Ingest::open(cfg(u64::MAX), &workload).unwrap();
+        itdb_trace::remove_sink(sink);
+        let boot = reopened.boot_report();
+        assert!(boot.restored_checkpoint, "booted from generation {good}");
+        assert_eq!(boot.replayed_records, 4, "records 5–8 replayed");
+        assert_eq!(boot.last_seq, 8);
+        assert_eq!(count_events(&events, "checkpoint_recovery"), 1);
+        let replayed = reopened.with_model(|m| m.snapshot_sections(8));
+        assert!(
+            replayed == uninterrupted,
+            "restore + replay is byte-identical to the uninterrupted run"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -5,6 +5,10 @@
 //! bounds-checked and returns a typed [`CodecError`] instead of panicking,
 //! so corrupt payloads surface as recoverable errors.
 
+// Decodes on-disk bytes at serve boot: failures must flow through typed
+// errors, never panic.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::fmt;
 
 /// A decode failure: truncated input, a bad tag byte, or invalid UTF-8.
@@ -215,6 +219,7 @@ const fn crc32_table() -> [u32; 256] {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

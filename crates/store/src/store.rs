@@ -1,6 +1,10 @@
 //! The generation-based snapshot store: atomic writes, checksummed reads,
 //! corruption fallback, and (feature-gated) fault injection.
 
+// Decodes on-disk bytes at serve boot: failures must flow through typed
+// errors, never panic.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::codec::{crc32, ByteReader, ByteWriter};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -401,6 +405,7 @@ pub mod fault {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

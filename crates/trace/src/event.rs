@@ -109,7 +109,8 @@ pub enum EventKind {
         generation: u64,
         /// Snapshot image size in bytes.
         bytes: u64,
-        /// Wall clock spent encoding and durably writing, in µs.
+        /// Wall clock spent framing and durably writing the encoded
+        /// sections, in µs.
         write_us: u64,
     },
     /// Evaluation resumed from a stored checkpoint.
