@@ -48,13 +48,6 @@ impl Database {
         self.relations.get_mut(name)
     }
 
-    /// Removes a relation entirely, returning it if present. Used by the
-    /// transactional ingest rollback to undo a relation the failed batch
-    /// created.
-    pub fn remove(&mut self, name: &str) -> Option<GeneralizedRelation> {
-        self.relations.remove(name)
-    }
-
     /// The underlying name → relation map (for whole-database encoders).
     pub(crate) fn relations(&self) -> &BTreeMap<String, GeneralizedRelation> {
         &self.relations

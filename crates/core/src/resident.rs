@@ -52,26 +52,29 @@
 //!    out — the generalized relation is the unit of storage, exactly as
 //!    in the paper's closed representation. Callers that need carve-out
 //!    must ingest at the granularity they intend to retract.
-//! 5. **Failed batches roll back; the model never wedges.** Every batch
-//!    runs under a fresh governor built from the model's options, so
-//!    every budget — iterations, tuple fuel, deadline, memory ceiling,
-//!    cancellation — applies to that batch alone. Every apply is
-//!    transactional: a governor trip or divergence mid-batch restores
-//!    the exact pre-batch EDB, IDB, and provenance state and surfaces
+//! 5. **Failed batches never publish; the model never wedges.** Every
+//!    batch runs under a fresh governor built from the model's options,
+//!    so every budget — iterations, tuple fuel, deadline, memory ceiling,
+//!    cancellation — applies to that batch alone. A batch maps one model
+//!    version to the next: [`ResidentModel::successor`] maintains a clone
+//!    and returns it only when the whole batch succeeded. A governor trip
+//!    or divergence mid-batch drops the clone and surfaces
 //!    [`ApplyError::RolledBack`] (carrying [`Error::Interrupted`] for a
-//!    trip). The model stays healthy and continues to serve reads and
+//!    trip), so the receiver keeps its exact EDB, IDB and provenance state
+//!    by construction. It stays healthy and continues to serve reads and
 //!    later batches — there is no poisoned state.
 //! 6. **Determinism.** Given the same starting state and the same
 //!    operation sequence, `apply_ops` produces byte-identical relations
-//!    (and byte-identical rollback decisions, for deterministic
-//!    governors) — the property WAL replay and the crash-recovery chaos
-//!    tests build on. The over-delete mode is itself deterministic from
-//!    persisted state: snapshots carry the derivation log, so a restore
-//!    replays retractions in the same mode as the uninterrupted run.
+//!    and, for deterministic governors, the same result for every batch:
+//!    it applies, or it is refused — the property WAL replay and the
+//!    crash-recovery chaos tests build on. The over-delete mode is itself
+//!    deterministic from persisted state: snapshots carry the derivation
+//!    log, so a restore replays retractions in the same mode as the
+//!    uninterrupted run.
 //! 7. **Divergence stays detected.** Maintenance runs in the engine's
 //!    loop, so the engine's free-extension-key grace rule guards it, with
 //!    the key sets built from the maintained relations; a batch that
-//!    makes the workload diverge is rolled back rather than looping.
+//!    makes the workload diverge is refused rather than looping.
 //! 8. **Only complete models are maintained.** Every batch against a
 //!    model whose own evaluation diverged or tripped is refused with
 //!    [`ApplyError::Incomplete`] before anything is touched; its status
@@ -145,8 +148,8 @@ pub enum ApplyError {
     /// predicate, schema mismatch). The model was not touched at all.
     Invalid(Error),
     /// The batch failed mid-flight (governor trip, divergence, budget
-    /// exhaustion) and every mutation was rolled back: the model is the
-    /// exact pre-batch state and stays fully serviceable. Retrying the
+    /// exhaustion) and its successor was never published: the model is
+    /// the exact pre-batch state and stays fully serviceable. Retrying the
     /// identical batch under the same limits will fail identically.
     RolledBack(Error),
     /// The model's own evaluation did not converge (it holds a sound
@@ -164,7 +167,7 @@ impl ApplyError {
         }
     }
 
-    /// Was the model mutated and restored (as opposed to never touched)?
+    /// Did the batch run and fail (as opposed to being refused up front)?
     pub fn rolled_back(&self) -> bool {
         matches!(self, ApplyError::RolledBack(_))
     }
@@ -234,11 +237,12 @@ pub struct ResidentStats {
     pub retraction_rederived: u64,
     /// Applies that degraded to a full re-evaluation.
     pub full_reevals: u64,
-    /// Batches that failed mid-flight and were rolled back.
+    /// Batches [`ResidentModel::apply_ops`] ran that failed mid-flight
+    /// and were not applied.
     pub rollbacks: u64,
 }
 
-/// The error a batch rolls back with when its maintenance or
+/// The error a batch is refused with when its maintenance or
 /// re-evaluation run did not converge: the governor's trip, or divergence
 /// under the free-extension grace rule.
 fn converged(outcome: EvalOutcome) -> Result<()> {
@@ -253,34 +257,6 @@ fn converged(outcome: EvalOutcome) -> Result<()> {
              ({iterations} iterations)"
         ))),
     }
-}
-
-/// How to restore one EDB relation if the batch rolls back.
-enum Undo {
-    /// The batch created the relation: remove it entirely.
-    Created,
-    /// Only asserts touched it (append-only): truncate to the old length.
-    Truncate(usize),
-    /// A retract touched it: restore the full pre-batch clone.
-    Restore(GeneralizedRelation),
-}
-
-/// Records the rollback action for `pred` before its first mutation.
-fn record_undo(
-    edb: &Database,
-    undos: &mut BTreeMap<String, Undo>,
-    pred: &str,
-    retract_preds: &BTreeSet<String>,
-) {
-    if undos.contains_key(pred) {
-        return;
-    }
-    let undo = match edb.get(pred) {
-        None => Undo::Created,
-        Some(rel) if retract_preds.contains(pred) => Undo::Restore(rel.clone()),
-        Some(rel) => Undo::Truncate(rel.tuples().len()),
-    };
-    undos.insert(pred.to_string(), undo);
 }
 
 /// A governed evaluation kept resident: answered by lookup and, when it
@@ -522,12 +498,13 @@ impl ResidentModel {
         })
     }
 
-    /// Applies one batch of assert/retract operations incrementally.
-    /// Transactional: on [`ApplyError::RolledBack`] the model is the
-    /// exact pre-batch state. [`Self::apply_ops_full_reeval`] is the
+    /// Applies one batch of assert/retract operations incrementally:
+    /// `self` becomes its [`Self::successor`]. On an error `self` is
+    /// unchanged, apart from [`ResidentStats::rollbacks`] counting a batch
+    /// that ran and was refused. [`Self::apply_ops_full_reeval`] is the
     /// oracle twin.
     pub fn apply_ops(&mut self, ops: &[Op]) -> std::result::Result<ApplyOutcome, ApplyError> {
-        self.apply_ops_inner(ops, false)
+        self.advance(ops, false)
     }
 
     /// The oracle twin: same EDB walk and accounting, then a full
@@ -536,19 +513,41 @@ impl ResidentModel {
         &mut self,
         ops: &[Op],
     ) -> std::result::Result<ApplyOutcome, ApplyError> {
-        self.apply_ops_inner(ops, true)
+        self.advance(ops, true)
     }
 
-    fn apply_ops_inner(
+    fn advance(
         &mut self,
         ops: &[Op],
         force_full: bool,
     ) -> std::result::Result<ApplyOutcome, ApplyError> {
+        let (next, out) = self
+            .successor_with(ops, force_full)
+            .inspect_err(|e| self.stats.rollbacks += u64::from(e.rolled_back()))?;
+        *self = next;
+        Ok(out)
+    }
+
+    /// The model after one batch, built aside: the batch is validated
+    /// first (a refused batch clones nothing), then maintained on one clone
+    /// of `self`, which a batch failing mid-flight drops. `self` never
+    /// changes.
+    pub fn successor(
+        &self,
+        ops: &[Op],
+    ) -> std::result::Result<(ResidentModel, ApplyOutcome), ApplyError> {
+        self.successor_with(ops, false)
+    }
+
+    fn successor_with(
+        &self,
+        ops: &[Op],
+        force_full: bool,
+    ) -> std::result::Result<(ResidentModel, ApplyOutcome), ApplyError> {
         if self.status != QueryStatus::Complete {
             return Err(ApplyError::Incomplete(self.status.clone()));
         }
-        // Phase 1: validate everything up front — an invalid batch must
-        // leave the model untouched.
+        // Validate everything up front: a refused batch clones nothing.
         let mut batch_created: BTreeMap<String, Schema> = BTreeMap::new();
         for op in ops {
             match op {
@@ -567,33 +566,22 @@ impl ResidentModel {
                 }
             }
         }
-        let retract_preds: BTreeSet<String> = ops
-            .iter()
-            .filter(|o| o.is_retract())
-            .map(|o| o.fact().pred.clone())
-            .collect();
+        let mut next = self.clone();
+        let out = next
+            .run_batch(ops, force_full)
+            .map_err(ApplyError::RolledBack)?;
+        Ok((next, out))
+    }
 
-        // Phase 2: walk the operations over the EDB in order, recording
-        // per-relation undo actions before the first mutation.
+    /// Runs a validated batch in place: the EDB walk, then maintenance
+    /// under a fresh governor. Only [`Self::successor`]'s clone runs it, so
+    /// a half-maintained model is dropped, never kept.
+    fn run_batch(&mut self, ops: &[Op], force_full: bool) -> Result<ApplyOutcome> {
         let mut out = ApplyOutcome::default();
-        let mut undos: BTreeMap<String, Undo> = BTreeMap::new();
         let mut insert_delta: BTreeMap<String, GeneralizedRelation> = BTreeMap::new();
         let mut retract_seed: BTreeMap<String, Vec<GeneralizedTuple>> = BTreeMap::new();
-        if let Err(e) = self.walk_ops(
-            ops,
-            &retract_preds,
-            &mut undos,
-            &mut insert_delta,
-            &mut retract_seed,
-            &mut out,
-        ) {
-            self.rollback_edb(undos);
-            self.stats.rollbacks += 1;
-            return Err(ApplyError::RolledBack(e));
-        }
+        self.walk_ops(ops, &mut insert_delta, &mut retract_seed, &mut out)?;
 
-        // Phase 3: derivation maintenance, with IDB + provenance
-        // snapshots so a mid-flight failure rolls everything back.
         let changed: BTreeSet<String> = insert_delta
             .keys()
             .chain(retract_seed.keys())
@@ -602,31 +590,15 @@ impl ResidentModel {
         let affected = self.affected_preds(&changed);
         let touches_idb = affected.iter().any(|p| self.info.intensional.contains(p));
         if !changed.is_empty() && touches_idb {
-            let idb_snapshot: BTreeMap<String, GeneralizedRelation> = affected
-                .iter()
-                .filter(|p| self.info.intensional.contains(*p))
-                .filter_map(|p| self.idb.get(p).map(|r| (p.clone(), r.clone())))
-                .collect();
-            let deriv_snapshot = self.derivations.clone();
             // Every budget of the options applies to this batch alone.
             let governor = Governor::new(self.opts.governor_config());
-            let result = if force_full || (retract_seed.is_empty() && self.negation_over(&affected))
-            {
-                self.recover_full(&governor, &mut out)
+            if force_full || (retract_seed.is_empty() && self.negation_over(&affected)) {
+                self.recover_full(&governor, &mut out)?;
             } else if retract_seed.is_empty() {
-                self.maintain(&governor, Some(insert_delta), &affected, &mut out)
+                self.maintain(&governor, Some(insert_delta), &affected, &mut out)?;
             } else {
                 out.dred_cone = self.over_delete(&retract_seed, &affected, &mut out);
-                self.maintain(&governor, None, &affected, &mut out)
-            };
-            if let Err(e) = result {
-                for (pred, rel) in idb_snapshot {
-                    self.idb.insert(pred, rel);
-                }
-                self.derivations = deriv_snapshot;
-                self.rollback_edb(undos);
-                self.stats.rollbacks += 1;
-                return Err(ApplyError::RolledBack(e));
+                self.maintain(&governor, None, &affected, &mut out)?;
             }
         }
 
@@ -648,8 +620,6 @@ impl ResidentModel {
     fn walk_ops(
         &mut self,
         ops: &[Op],
-        retract_preds: &BTreeSet<String>,
-        undos: &mut BTreeMap<String, Undo>,
         insert_delta: &mut BTreeMap<String, GeneralizedRelation>,
         retract_seed: &mut BTreeMap<String, Vec<GeneralizedTuple>>,
         out: &mut ApplyOutcome,
@@ -663,7 +633,6 @@ impl ResidentModel {
                         continue;
                     };
                     let schema = Schema::new(tuple.temporal_arity(), tuple.data_arity());
-                    record_undo(&self.edb, undos, &f.pred, retract_preds);
                     if self.edb.get(&f.pred).is_none() {
                         self.edb
                             .insert(f.pred.clone(), GeneralizedRelation::empty(schema));
@@ -691,7 +660,7 @@ impl ResidentModel {
                         out.retract_noops += 1;
                         continue;
                     };
-                    let Some(rel) = self.edb.get(&f.pred) else {
+                    let Some(rel) = self.edb.get_mut(&f.pred) else {
                         out.retract_noops += 1;
                         continue;
                     };
@@ -699,10 +668,6 @@ impl ResidentModel {
                         out.retract_noops += 1;
                         continue;
                     }
-                    record_undo(&self.edb, undos, &f.pred, retract_preds);
-                    let rel = self.edb.get_mut(&f.pred).ok_or_else(|| {
-                        Error::Eval(format!("internal: EDB relation `{}` vanished", f.pred))
-                    })?;
                     let removed = rel.remove_subsumed_by(&tuple, self.opts.residue_budget)?;
                     if removed.is_empty() {
                         out.retract_noops += 1;
@@ -725,25 +690,6 @@ impl ResidentModel {
             }
         }
         Ok(())
-    }
-
-    /// Restores every EDB relation the failed batch touched.
-    fn rollback_edb(&mut self, undos: BTreeMap<String, Undo>) {
-        for (pred, undo) in undos {
-            match undo {
-                Undo::Created => {
-                    self.edb.remove(&pred);
-                }
-                Undo::Truncate(len) => {
-                    if let Some(rel) = self.edb.get_mut(&pred) {
-                        rel.truncate(len);
-                    }
-                }
-                Undo::Restore(rel) => {
-                    self.edb.insert(pred, rel);
-                }
-            }
-        }
     }
 
     /// DRed phase 1: over-delete. Returns `true` when the provenance
@@ -824,7 +770,7 @@ impl ResidentModel {
     /// first iteration fires its affected clauses fully against the
     /// post-over-delete relations. Either way the run starts from a subset
     /// of the new fixpoint and converges exactly onto it; a trip or a
-    /// divergence surfaces as the error the batch rolls back with.
+    /// divergence surfaces as the error the batch is refused with.
     fn maintain(
         &mut self,
         governor: &Arc<Governor>,
@@ -1001,6 +947,14 @@ mod tests {
         assert_eq!(b.applied, 1);
         assert!(!a.full_reeval, "positive program propagates incrementally");
         assert_equivalent(&inc, &full, "incremental vs full re-eval");
+        // `successor` builds the very model `apply_ops` moves to.
+        let (next, c) = model().successor(&batch).unwrap();
+        assert_eq!(c, a);
+        assert_eq!(next.stats(), inc.stats());
+        assert!(
+            next.snapshot_sections(0) == inc.snapshot_sections(0),
+            "successor and apply_ops agree byte for byte"
+        );
     }
 
     #[test]
@@ -1304,29 +1258,32 @@ mod tests {
             ..EvalOptions::default()
         };
         let mut m = ResidentModel::new(program, edb, opts).unwrap();
-        let edb_before: Vec<(String, Vec<GeneralizedTuple>)> = m
-            .edb()
-            .iter()
-            .map(|(p, r)| (p.to_string(), r.tuples().to_vec()))
-            .collect();
-        let idb_before = m.idb().clone();
-
+        let image = m.snapshot_sections(0);
         // The +48 recursion mod 168 needs ~7 iterations; the cap is 3.
-        let err = m.apply_ops(&[assert_op("e", "(168n+1; x)")]).unwrap_err();
+        let trip = [assert_op("e", "(168n+1; x)")];
+        let err = m.successor(&trip).unwrap_err();
+        assert!(matches!(err, ApplyError::RolledBack(_)), "{err}");
+        assert!(
+            m.snapshot_sections(0) == image,
+            "a tripped successor leaves the receiver byte-identical"
+        );
+        let err = m.apply_ops(&trip).unwrap_err();
         assert!(matches!(err, ApplyError::RolledBack(_)), "{err}");
         assert_eq!(m.stats().rollbacks, 1);
-        // Byte-identical rollback.
-        let edb_after: Vec<(String, Vec<GeneralizedTuple>)> = m
-            .edb()
-            .iter()
-            .map(|(p, r)| (p.to_string(), r.tuples().to_vec()))
-            .collect();
-        assert_eq!(edb_before, edb_after, "EDB restored exactly");
-        for (pred, rel) in m.idb() {
-            assert_eq!(rel.tuples(), idb_before[pred].tuples(), "{pred} restored");
-        }
-        // The model still applies unrelated batches — no wedge.
-        let out = m.apply_ops(&[assert_op("f", "(24n+1; y)")]).unwrap();
+        assert!(
+            m.snapshot_sections(0) == image,
+            "EDB, IDB and provenance unchanged byte for byte"
+        );
+        // The model still applies unrelated batches — no wedge — and a
+        // successful successor leaves its receiver byte-identical too.
+        let healthy = [assert_op("f", "(24n+1; y)")];
+        let (next, _) = m.successor(&healthy).unwrap();
+        assert!(!next.idb()["q"].is_empty(), "q derived in the successor");
+        assert!(
+            m.snapshot_sections(0) == image,
+            "building a successor leaves the receiver byte-identical"
+        );
+        let out = m.apply_ops(&healthy).unwrap();
         assert_eq!(out.applied, 1);
         assert!(!m.idb()["q"].is_empty(), "q derived after recovery");
     }

@@ -287,17 +287,6 @@ impl GeneralizedRelation {
         Ok(self.is_subset_of(other, budget)? && other.is_subset_of(self, budget)?)
     }
 
-    /// Truncates the tuple list back to `len` entries, rebuilding the data
-    /// index. The rollback primitive for append-only mutations: a batch
-    /// that only ran subsumption inserts is undone exactly by truncating
-    /// each touched relation to its pre-batch length.
-    pub fn truncate(&mut self, len: usize) {
-        if len < self.tuples.len() {
-            self.tuples.truncate(len);
-            self.rebuild_index();
-        }
-    }
-
     /// Removes every stored tuple that `keep` rejects, preserving the
     /// storage order of the survivors and rebuilding the data index.
     /// Returns the removed tuples in their original storage order — the

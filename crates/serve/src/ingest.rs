@@ -1,10 +1,14 @@
 //! Streaming ingestion: the WAL-backed write path behind `POST /facts`.
 //!
+//! Readers read the **published** model version: [`Ingest::with_model`]
+//! clones the published `Arc<ResidentModel>` and runs its closure with no
+//! lock held, so a `/query` never waits on a WAL append, an fsync or a
+//! DRed apply. Only writers are serialised.
+//!
 //! ## Crash consistency
 //!
-//! Every accepted batch takes the same journey, serialized under one
-//! lock so the durable log and the in-memory model never disagree about
-//! order:
+//! Every accepted batch takes the same journey, under the writers' lock,
+//! so the durable log and the published model never disagree about order:
 //!
 //! 1. **Dedup check** — a batch whose `X-Itdb-Request-Id` is still in the
 //!    dedup window is answered from the remembered outcome without
@@ -12,16 +16,18 @@
 //!    exactly-once application).
 //! 2. **WAL append** — the encoded batch goes to the write-ahead log
 //!    first and is fsynced per the configured flush policy. Only after
-//!    the append succeeds does the model change, so every batch the
-//!    client saw acknowledged is re-derivable from checkpoint + log.
-//! 3. **Incremental apply** — [`ResidentModel::apply_ops`] folds assert
-//!    operations in (semi-naive delta propagation) and handles retract
-//!    operations with DRed delete/re-derive maintenance. A batch the
-//!    model *rejects* (unknown schema, intensional predicate) or *rolls
-//!    back* (governor trip — the model restores its exact pre-batch
-//!    state and keeps serving) still sits in the WAL — both decisions
-//!    are deterministic, so boot-time replay reproduces them identically
-//!    and the log stays a faithful request history.
+//!    the append succeeds is a new model version built, so every batch
+//!    the client saw acknowledged is re-derivable from checkpoint + log.
+//! 3. **Successor, then publish** — [`ResidentModel::successor`] builds
+//!    the next version aside: assert operations fold in by semi-naive
+//!    delta propagation, retract operations by DRed delete/re-derive
+//!    maintenance. Only a whole successor is published, with one swap of
+//!    the `Arc` readers clone. A batch the model *rejects* (unknown
+//!    schema, intensional predicate) or *refuses mid-flight* (governor
+//!    trip — its successor is dropped and the published version keeps
+//!    serving) still sits in the WAL — both decisions are
+//!    deterministic, so boot-time replay reproduces them identically and
+//!    the log stays a faithful request history.
 //! 4. **Checkpoint + compaction** — every `checkpoint_every` records the
 //!    full resident state (EDB + IDB + derivation log + dedup window +
 //!    applied sequence) is written to the snapshot store *first*, and
@@ -59,7 +65,7 @@ use std::fmt;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Legacy section tag for the pre-retraction dedup window (id, applied,
 /// duplicates). Still decoded so old checkpoints restore.
@@ -107,7 +113,7 @@ pub enum IngestConfigError {
     /// clients would silently lose exactly-once semantics.
     ZeroDedupWindow,
     /// `eval.timeout` was set. Whether a batch beats a deadline depends on
-    /// the machine's speed at that moment, so a batch rolled back live
+    /// the machine's speed at that moment, so a batch refused live
     /// (answered 503) could apply on WAL replay, and the recovered model
     /// would differ from the one that answered.
     EvalTimeout,
@@ -156,7 +162,7 @@ impl IngestConfig {
     }
 
     /// Validates boundary values, and that every budget in `eval` is
-    /// deterministic: WAL replay must reach the same apply-or-roll-back
+    /// deterministic: WAL replay must reach the same apply-or-refuse
     /// decision for each batch as the live path did, so a wall-clock
     /// deadline or a cancellation token is refused. [`Ingest::open`]
     /// refuses an invalid configuration rather than silently adjusting it.
@@ -263,11 +269,11 @@ pub enum IngestError {
         /// Suggested client backoff, seconds.
         retry_after_s: u64,
     },
-    /// A governor tripped mid-apply and the batch was rolled back. The
-    /// model restored its exact pre-batch state and keeps serving reads
-    /// and subsequent writes — this is a per-batch refusal, not a wedged
-    /// server. Retrying the identical batch under the same limits will
-    /// trip identically, so the retry hint is for *smaller* follow-ups.
+    /// A governor tripped mid-apply and the batch's successor was never
+    /// published: the model is unchanged and keeps serving reads and
+    /// subsequent writes — a per-batch refusal, not a wedged server.
+    /// Retrying the identical batch under the same limits will trip
+    /// identically, so the retry hint is for *smaller* follow-ups.
     Tripped {
         /// Suggested client backoff, seconds.
         retry_after_s: u64,
@@ -357,11 +363,11 @@ impl DedupWindow {
     }
 }
 
-/// Everything guarded by the ingest lock: the log, the model, the dedup
-/// window, and the checkpoint cadence.
+/// Everything the writers' lock guards: the log, the dedup window, and
+/// the checkpoint cadence. The model is not here: readers take it from
+/// [`Ingest`]'s published slot.
 struct IngestInner {
     wal: Wal,
-    model: ResidentModel,
     dedup: DedupWindow,
     store: SnapshotStore,
     applied_seq: u64,
@@ -382,10 +388,14 @@ pub struct IngestBootReport {
     pub last_seq: u64,
 }
 
-/// The streaming-ingestion subsystem: WAL + resident model + dedup
-/// window behind one lock, with lock-free counters for `/metrics`.
+/// The streaming-ingestion subsystem: WAL + dedup window behind the
+/// writers' lock, the published model version beside it, and lock-free
+/// counters for `/metrics`.
 pub struct Ingest {
     inner: Mutex<IngestInner>,
+    /// The published model version. Its lock is held only while the `Arc`
+    /// is cloned or swapped, never while a model is read or built.
+    published: Mutex<Arc<ResidentModel>>,
     config: IngestConfig,
     pending: AtomicU64,
     facts_ingested: AtomicU64,
@@ -483,8 +493,8 @@ impl Ingest {
                     dedup.insert(batch.request_id, out.applied, out.duplicates, out.retracted);
                 }
                 // The live path answered this batch 422/503 and moved on;
-                // both rejection and rollback are deterministic and leave
-                // the model unchanged, so replay shrugs identically.
+                // both refusals are deterministic and leave the model
+                // unchanged, so replay shrugs identically.
                 Err(_) => continue,
             }
         }
@@ -511,12 +521,12 @@ impl Ingest {
         Ok(Ingest {
             inner: Mutex::new(IngestInner {
                 wal,
-                model,
                 dedup,
                 store,
                 applied_seq,
                 records_since_checkpoint: 0,
             }),
+            published: Mutex::new(Arc::new(model)),
             config,
             pending: AtomicU64::new(0),
             facts_ingested,
@@ -584,7 +594,7 @@ impl Ingest {
         self.retraction_rederived.load(Ordering::Relaxed)
     }
 
-    /// Batches refused with a governor trip and rolled back.
+    /// Batches refused with a governor trip (never published).
     pub fn batches_tripped(&self) -> u64 {
         self.batches_tripped.load(Ordering::Relaxed)
     }
@@ -604,23 +614,35 @@ impl Ingest {
         self.lock().wal.stats()
     }
 
-    /// Runs `f` with the resident model — the closed-form read path for
-    /// `/query` in ingest mode.
+    /// Runs `f` with the published model version — the closed-form read
+    /// path for `/query` in ingest mode. No lock is held while `f` runs; a
+    /// batch published meanwhile leaves the version `f` reads as it was.
     pub fn with_model<T>(&self, f: impl FnOnce(&ResidentModel) -> T) -> T {
-        f(&self.lock().model)
+        f(&self.current())
     }
 
-    /// The ingest state holds no invariant a panicking holder could have
-    /// broken mid-flight that recovery would make worse: the WAL is
-    /// append-only and the model rolls every failed batch back to its
-    /// pre-batch state, so recover the lock rather than wedging every
-    /// writer forever.
-    fn lock(&self) -> std::sync::MutexGuard<'_, IngestInner> {
+    /// The published model version.
+    fn current(&self) -> Arc<ResidentModel> {
+        Arc::clone(&self.slot())
+    }
+
+    /// Swapping an `Arc` cannot panic half way, so a poisoned slot still
+    /// holds a whole version.
+    fn slot(&self) -> MutexGuard<'_, Arc<ResidentModel>> {
+        self.published.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// A writer that panics while holding this lock never published: the
+    /// model changes only by the swap after [`ResidentModel::successor`]
+    /// returned a whole version, and the WAL is append-only. Nothing a
+    /// panicking holder left behind is half-built, so recover the lock
+    /// rather than wedging every writer forever.
+    fn lock(&self) -> MutexGuard<'_, IngestInner> {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// The full ingest pipeline for one request: backpressure check,
-    /// dedup, WAL append (durable per policy), incremental apply,
+    /// dedup, WAL append (durable per policy), successor, publish,
     /// checkpoint cadence. See the module docs for the ordering argument.
     pub fn submit(&self, request_id: &str, ops: Vec<Op>) -> Result<IngestOutcome, IngestError> {
         let depth = self.pending.fetch_add(1, Ordering::Relaxed) + 1;
@@ -651,8 +673,8 @@ impl Ingest {
             .wal
             .append(&payload)
             .map_err(|e| IngestError::Wal(e.to_string()))?;
-        let out = match inner.model.apply_ops(&batch.ops) {
-            Ok(out) => out,
+        let (next, out) = match self.current().successor(&batch.ops) {
+            Ok(done) => done,
             // The record stays in the log either way; replay reproduces
             // the same deterministic decision, so the model and the log
             // still agree.
@@ -668,6 +690,11 @@ impl Ingest {
                 });
             }
         };
+        // Publish: every later read sees `next`. The previous version is
+        // released after the slot's lock, so no reader waits on its drop.
+        let next = Arc::new(next);
+        let previous = std::mem::replace(&mut *self.slot(), Arc::clone(&next));
+        drop(previous);
         inner.applied_seq = seq;
         inner.records_since_checkpoint += 1;
         inner
@@ -690,7 +717,7 @@ impl Ingest {
             full_reeval: out.full_reeval,
         });
         if inner.records_since_checkpoint >= self.config.checkpoint_every {
-            self.checkpoint_locked(&mut inner);
+            self.checkpoint_locked(&mut inner, &next);
         }
         Ok(IngestOutcome {
             applied: out.applied,
@@ -707,8 +734,8 @@ impl Ingest {
     /// segment is deleted, so a crash between the two steps can only
     /// leave surplus log, never a gap. Failure is survivable — the WAL
     /// still holds everything — so it is counted, not propagated.
-    fn checkpoint_locked(&self, inner: &mut IngestInner) {
-        let mut sections = inner.model.snapshot_sections(inner.applied_seq);
+    fn checkpoint_locked(&self, inner: &mut IngestInner, model: &ResidentModel) {
+        let mut sections = model.snapshot_sections(inner.applied_seq);
         sections.push(inner.dedup.encode_section());
         match save(&inner.store, &sections) {
             Ok(_) => {
@@ -731,7 +758,7 @@ impl Ingest {
         let mut inner = self.lock();
         let _ = inner.wal.flush();
         if inner.records_since_checkpoint > 0 {
-            self.checkpoint_locked(&mut inner);
+            self.checkpoint_locked(&mut inner, &self.current());
         }
     }
 }
@@ -1006,6 +1033,53 @@ mod tests {
             )
             .unwrap();
         assert!(out.duplicate_request, "dedup window restored");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A reader holding a model version does not block a writer: the batch
+    /// publishes while the reader still reads the pre-batch version.
+    #[test]
+    fn a_reader_holding_a_version_does_not_block_a_writer() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let dir = temp_dir("reader");
+        let workload = parse_workload(WORKLOAD).unwrap();
+        let ingest = Arc::new(Ingest::open(config(&dir), &workload).unwrap());
+        let problems = |m: &ResidentModel| m.relation("problems").map(|r| r.to_string());
+        let before = ingest.with_model(problems);
+        let (entered, entered_rx) = channel();
+        let (release, release_rx) = channel::<()>();
+        let reader = {
+            let ingest = Arc::clone(&ingest);
+            std::thread::spawn(move || {
+                ingest.with_model(|m| {
+                    entered.send(()).unwrap();
+                    let _ = release_rx.recv_timeout(Duration::from_secs(5));
+                    problems(m)
+                })
+            })
+        };
+        entered_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        let (done, done_rx) = channel();
+        let writer = {
+            let ingest = Arc::clone(&ingest);
+            let batch = ops(
+                r#"{"facts":[{"pred":"course","tuple":"(168n+30, 168n+32; compilers) : T2 = T1 + 2"}]}"#,
+            );
+            std::thread::spawn(move || done.send(ingest.submit("w-1", batch)))
+        };
+        let submitted = done_rx.recv_timeout(Duration::from_secs(2));
+        let _ = release.send(());
+        let held = reader.join().unwrap();
+        let _ = writer.join().unwrap();
+        let out = submitted.expect("submit returns within 2 s while a reader holds its version");
+        assert_eq!(out.unwrap().applied, 1);
+        assert_eq!(held, before, "the held version is the pre-batch model");
+        assert_ne!(
+            ingest.with_model(problems),
+            before,
+            "a fresh read sees the batch"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,6 +14,11 @@
 //! `itdb_events_streamers` gauge), so a long-lived subscriber never
 //! occupies a query worker.
 //!
+//! Reads never wait for writes. With a WAL, `POST /facts` writers are
+//! serialised among themselves inside [`Ingest`], and each publishes the
+//! next model version with one swap; a `/query` reads the version
+//! published when it started and holds no lock while it answers.
+//!
 //! ## Per-request observability
 //!
 //! Every request gets an `X-Itdb-Request-Id` (the inbound header is
@@ -967,8 +972,8 @@ fn serve_query(
 /// The one read path: parse the pattern and look it up in the
 /// materialised model — the ingest subsystem's resident model with a WAL,
 /// the service's once-built model without one. The `bool` is true when
-/// this read materialised that model. The response is built under the
-/// ingest lock but rendered by the caller, outside it.
+/// this read materialised that model. With a WAL the response is built
+/// from the published model version, with no lock held.
 fn answer(
     ctx: &WorkerCtx,
     pattern: &str,

@@ -27,10 +27,11 @@
 //! renames it to its final `snap-<generation>.itdb` name, and fsyncs the
 //! directory, so a crash at any point leaves either the previous
 //! generation set intact or the new generation fully visible — never a
-//! half-written current generation. [`SnapshotStore::load_latest`] walks
-//! generations newest-first and *skips* (reporting, not panicking) any
-//! snapshot that fails validation, so a corrupted latest generation falls
-//! back to the last good one.
+//! half-written current generation. [`SnapshotStore::load_generation`]
+//! validates one generation strictly. The recovery walk — newest first,
+//! *skipping* (reporting, not panicking) any generation that fails
+//! validation, so a corrupted latest generation falls back to the last
+//! good one — is `itdb_core::checkpoint::load_latest_with`.
 //!
 //! The `fault` feature (test-only) injects torn writes, short writes, bit
 //! flips, and crash-before-rename faults into [`SnapshotStore::write`],
@@ -43,7 +44,7 @@ pub mod store;
 pub mod wal;
 
 pub use codec::{crc32, ByteReader, ByteWriter, CodecError};
-pub use store::{Recovery, Section, SnapshotStore, StoreError, Written, FORMAT_VERSION, MAGIC};
+pub use store::{Section, SnapshotStore, StoreError, Written, FORMAT_VERSION, MAGIC};
 pub use wal::{FsyncPolicy, Wal, WalOptions, WalRecord, WalRecovery, WalStats};
 
 #[cfg(feature = "fault")]

@@ -103,18 +103,6 @@ pub struct Written {
     pub bytes: u64,
 }
 
-/// The result of a fallback-scanning load: the newest valid snapshot (if
-/// any) plus every newer generation that had to be skipped as damaged.
-#[derive(Debug)]
-pub struct Recovery {
-    /// The newest generation that passed structural validation, with its
-    /// decoded sections.
-    pub snapshot: Option<(u64, Vec<Section>)>,
-    /// Generations that were present but damaged, newest first, each with
-    /// the validation error that disqualified it.
-    pub skipped: Vec<(u64, StoreError)>,
-}
-
 /// A directory of snapshot generations (`snap-<generation>.itdb`).
 #[derive(Debug)]
 pub struct SnapshotStore {
@@ -291,29 +279,6 @@ impl SnapshotStore {
         };
         Self::decode(&image)
     }
-
-    /// Loads the newest snapshot that passes validation, walking
-    /// generations newest-first and collecting (not failing on) damaged
-    /// ones. Only a filesystem-level failure to list the directory is an
-    /// error.
-    pub fn load_latest(&self) -> Result<Recovery, StoreError> {
-        let mut skipped = Vec::new();
-        for g in self.generations()?.into_iter().rev() {
-            match self.load_generation(g) {
-                Ok(sections) => {
-                    return Ok(Recovery {
-                        snapshot: Some((g, sections)),
-                        skipped,
-                    })
-                }
-                Err(e) => skipped.push((g, e)),
-            }
-        }
-        Ok(Recovery {
-            snapshot: None,
-            skipped,
-        })
-    }
 }
 
 /// Deterministic write-fault injection (test-only, feature `fault`).
@@ -427,20 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn write_then_load_round_trips() {
-        let store = temp_store("roundtrip");
-        let w = store.write(&sections()).unwrap();
-        assert_eq!(w.generation, 1);
-        assert!(w.bytes > 0);
-        let rec = store.load_latest().unwrap();
-        let (g, loaded) = rec.snapshot.unwrap();
-        assert_eq!(g, 1);
-        assert_eq!(loaded, sections());
-        assert!(rec.skipped.is_empty());
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
     fn generations_increase_and_old_ones_are_pruned() {
         let store = temp_store("prune");
         for _ in 0..5 {
@@ -448,105 +399,6 @@ mod tests {
         }
         let gens = store.generations().unwrap();
         assert_eq!(gens, vec![4, 5], "keeps the newest two");
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn empty_store_loads_nothing() {
-        let store = temp_store("empty");
-        let rec = store.load_latest().unwrap();
-        assert!(rec.snapshot.is_none());
-        assert!(matches!(
-            store.load_generation(1),
-            Err(StoreError::NoSnapshot)
-        ));
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn truncated_file_is_detected_and_skipped() {
-        let store = temp_store("trunc");
-        store.write(&sections()).unwrap();
-        let w2 = store.write(&sections()).unwrap();
-        // Tear the newest file in half.
-        let path = store.path_of(w2.generation);
-        let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(matches!(
-            store.load_generation(w2.generation),
-            Err(StoreError::Truncated)
-        ));
-        let rec = store.load_latest().unwrap();
-        assert_eq!(rec.snapshot.unwrap().0, w2.generation - 1);
-        assert_eq!(rec.skipped.len(), 1);
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn flipped_payload_bit_fails_its_section_checksum() {
-        let store = temp_store("bitflip");
-        store.write(&sections()).unwrap();
-        let w2 = store.write(&sections()).unwrap();
-        let path = store.path_of(w2.generation);
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1; // inside the final section's payload
-        bytes[last] ^= 0x40;
-        fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            store.load_generation(w2.generation),
-            Err(StoreError::ChecksumMismatch { section: 2 })
-        ));
-        let rec = store.load_latest().unwrap();
-        assert_eq!(rec.snapshot.unwrap().0, w2.generation - 1);
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    /// The recovery walk must hold up mid-write: a corrupt newest
-    /// generation, a valid older one, and an in-flight `.tmp` staging file
-    /// (as left by a writer that has not yet renamed) coexist; the load
-    /// lands on the older good generation, reports the damage, and never
-    /// mistakes the staging file for a generation.
-    #[test]
-    fn corrupt_newest_with_inflight_staging_falls_back_to_valid_older() {
-        let store = temp_store("inflight");
-        let w1 = store.write(&sections()).unwrap();
-        let w2 = store.write(&sections()).unwrap();
-        // Damage the newest generation (bit flip in its payload).
-        let newest = store.path_of(w2.generation);
-        let mut bytes = fs::read(&newest).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x20;
-        fs::write(&newest, &bytes).unwrap();
-        // Simulate an in-flight write: a staged-but-unrenamed temp image
-        // for the next generation, plus a half-written garbage temp.
-        let staged = store
-            .dir()
-            .join(format!(".snap-{:020}.tmp", w2.generation + 1));
-        fs::write(&staged, SnapshotStore::encode(&sections())).unwrap();
-        fs::write(store.dir().join(".snap-junk.tmp"), b"partial").unwrap();
-
-        let gens = store.generations().unwrap();
-        assert_eq!(
-            gens,
-            vec![w1.generation, w2.generation],
-            "temp files are not generations"
-        );
-        let rec = store.load_latest().unwrap();
-        let (g, loaded) = rec.snapshot.unwrap();
-        assert_eq!(g, w1.generation, "fell back past the damaged newest");
-        assert_eq!(loaded, sections());
-        assert_eq!(rec.skipped.len(), 1);
-        assert_eq!(rec.skipped[0].0, w2.generation);
-        assert!(matches!(
-            rec.skipped[0].1,
-            StoreError::ChecksumMismatch { .. }
-        ));
-        // A subsequent write allocates past the damaged generation and
-        // becomes the new latest.
-        let w3 = store.write(&sections()).unwrap();
-        assert_eq!(w3.generation, w2.generation + 1);
-        let rec = store.load_latest().unwrap();
-        assert_eq!(rec.snapshot.unwrap().0, w3.generation);
         let _ = fs::remove_dir_all(store.dir());
     }
 
