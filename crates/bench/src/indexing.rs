@@ -24,6 +24,8 @@ pub struct IndexingReport {
     pub step: i64,
     /// Timed repetitions per configuration (best time kept).
     pub reps: usize,
+    /// Cores the runtime reports (`std::thread::available_parallelism`).
+    pub cores: usize,
     /// Best wall-clock for the indexed evaluation, in milliseconds.
     pub indexed_ms: f64,
     /// Best wall-clock for the full-scan evaluation, in milliseconds.
@@ -64,6 +66,7 @@ impl IndexingReport {
             "{{\n  \
              \"benchmark\": \"indexing\",\n  \
              \"workload\": {{ \"n_data\": {}, \"period\": {}, \"step\": {}, \"reps\": {} }},\n  \
+             \"cores\": {},\n  \
              \"indexed_ms\": {:.3},\n  \
              \"naive_ms\": {:.3},\n  \
              \"speedup\": {:.2},\n  \
@@ -79,6 +82,7 @@ impl IndexingReport {
             self.period,
             self.step,
             self.reps,
+            self.cores,
             self.indexed_ms,
             self.naive_ms,
             self.speedup,
@@ -118,6 +122,7 @@ fn run_once(
 pub fn run_indexing(quick: bool) -> IndexingReport {
     let (n_data, reps) = if quick { (16, 2) } else { (48, 3) };
     let (period, step) = (168, 48);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // Warm up allocators and page cache once per configuration. The timed
     // comparison covers the pure fixpoint: final coalescing has no
     // full-scan variant (it is index-backed either way), so including it
@@ -176,6 +181,7 @@ pub fn run_indexing(quick: bool) -> IndexingReport {
         period,
         step,
         reps,
+        cores,
         indexed_ms,
         naive_ms,
         speedup: naive_ms / indexed_ms,
@@ -212,6 +218,8 @@ mod tests {
         assert!(json.contains("\"benchmark\": \"indexing\""), "{json}");
         assert!(json.contains("\"speedup\""), "{json}");
         assert!(json.contains("\"disabled_path_overhead\""), "{json}");
+        assert!(r.cores >= 1, "{r:?}");
+        assert!(json.contains(&format!("\"cores\": {},", r.cores)), "{json}");
         // Balanced braces as a cheap well-formedness check.
         assert_eq!(
             json.matches('{').count(),

@@ -12,10 +12,8 @@
 
 pub mod experiments;
 pub mod indexing;
-pub mod parallel;
 pub mod workloads;
 
 pub use experiments::*;
 pub use indexing::{run_indexing, IndexingReport};
-pub use parallel::{run_parallel, ParallelReport, PoolPoint};
 pub use workloads::*;

@@ -23,13 +23,11 @@ use shell::{Limits, Shell, Step};
 use std::io::{BufRead, Write};
 
 const USAGE: &str = "\
-usage: itdb-shell [--fuel N] [--timeout-ms N] [--parallel N] [--stats]
-                  [--stats-json] [--trace FILE] [--metrics FILE]
+usage: itdb-shell [--fuel N] [--timeout-ms N] [--stats] [--stats-json]
+                  [--trace FILE] [--metrics FILE]
                   [--checkpoint DIR] [--checkpoint-every N] [--resume] [SCRIPT]
   --fuel N        cap derived generalized tuples per evaluation
   --timeout-ms N  wall-clock deadline per evaluation, in milliseconds
-  --parallel N    derive-phase worker threads per evaluation (N >= 1;
-                  models are byte-identical for every N)
   --stats         print evaluation statistics after every `eval`
   --stats-json    print statistics as one JSON object after every `eval`
   --trace FILE    stream typed trace events to FILE as JSON lines
@@ -77,7 +75,6 @@ fn install_sigint_handler() {}
 #[derive(Debug)]
 struct Cli {
     limits: Limits,
-    parallel: Option<usize>,
     script: Option<String>,
     stats: bool,
     stats_json: bool,
@@ -91,7 +88,6 @@ struct Cli {
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         limits: Limits::default(),
-        parallel: None,
         script: None,
         stats: false,
         stats_json: false,
@@ -115,18 +111,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     "--fuel" => cli.limits.fuel = Some(n),
                     _ => cli.limits.timeout_ms = Some(n),
                 }
-            }
-            "--parallel" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("{arg} needs a numeric argument"))?;
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| format!("{arg}: `{value}` is not a number"))?;
-                if n == 0 {
-                    return Err(format!("{arg}: need at least one worker"));
-                }
-                cli.parallel = Some(n);
             }
             "--checkpoint-every" => {
                 let value = it
@@ -191,7 +175,6 @@ fn main() -> std::io::Result<()> {
 
     let mut shell = Shell::new();
     shell.set_limits(cli.limits);
-    shell.set_parallel(cli.parallel);
     shell.set_cancel(cancel_token().clone());
     shell.set_auto_stats(cli.stats);
     shell.set_stats_json(cli.stats_json);
@@ -291,16 +274,6 @@ mod tests {
         assert_eq!(cli.limits.timeout_ms, Some(250));
         assert!(cli.stats);
         assert_eq!(cli.script.as_deref(), Some("run.itdb"));
-    }
-
-    #[test]
-    fn parses_parallel_flag() {
-        let cli = parse_args(&strs(&["--parallel", "4"])).unwrap();
-        assert_eq!(cli.parallel, Some(4));
-        assert!(parse_args(&strs(&["--parallel"])).is_err());
-        assert!(parse_args(&strs(&["--parallel", "many"])).is_err());
-        assert!(parse_args(&strs(&["--parallel", "0"])).is_err());
-        assert_eq!(parse_args(&[]).unwrap().parallel, None);
     }
 
     #[test]

@@ -48,10 +48,6 @@ pub struct Shell {
     dl_program: dl::Program,
     tl_program: tl::TlProgram,
     limits: Limits,
-    /// Derive-phase worker threads per evaluation (`parallel N` /
-    /// `--parallel`). `None` inherits the engine default (which honours
-    /// the `ITDB_PARALLEL` environment variable).
-    parallel: Option<usize>,
     cancel: CancelToken,
     /// Append evaluation statistics to every `eval` output (`--stats`).
     auto_stats: bool,
@@ -114,8 +110,6 @@ commands:
   templog-eval               evaluate the Templog program
   fuel N|off                 cap derived tuples per evaluation
   timeout MS|off             wall-clock deadline per evaluation
-  parallel N|off             derive-phase worker threads (bare: status);
-                             models are byte-identical for every N
   limits                     show current resource limits
   checkpoint DIR|every N|every trips|off
                              durable crash-safe snapshots of `eval` (bare: status)
@@ -136,13 +130,6 @@ impl Shell {
     /// Replaces the session resource limits (used by `--fuel`/`--timeout-ms`).
     pub fn set_limits(&mut self, limits: Limits) {
         self.limits = limits;
-    }
-
-    /// Sets the derive-phase worker count for every evaluation (used by
-    /// the `--parallel` flag; the `parallel` command works regardless).
-    /// `None` inherits the engine default.
-    pub fn set_parallel(&mut self, workers: Option<usize>) {
-        self.parallel = workers;
     }
 
     /// Installs the cancellation token shared with the Ctrl-C handler.
@@ -205,7 +192,6 @@ impl Shell {
                 // configuration, not evaluation state: keep them so the
                 // Ctrl-C handler installed by `main` stays wired up.
                 let limits = self.limits.clone();
-                let parallel = self.parallel;
                 let cancel = self.cancel.clone();
                 let auto_stats = self.auto_stats;
                 let stats_json = self.stats_json;
@@ -215,7 +201,6 @@ impl Shell {
                 let checkpoint_every = self.checkpoint_every;
                 *self = Shell::new();
                 self.limits = limits;
-                self.parallel = parallel;
                 self.cancel = cancel;
                 self.auto_stats = auto_stats;
                 self.stats_json = stats_json;
@@ -227,7 +212,6 @@ impl Shell {
             }
             "fuel" => self.cmd_limit(rest, LimitKind::Fuel),
             "timeout" => self.cmd_limit(rest, LimitKind::Timeout),
-            "parallel" => self.cmd_parallel(rest),
             "limits" => Ok(self.fmt_limits()),
             "tuple" => self.cmd_tuple(rest),
             "show" => self.cmd_show(rest),
@@ -270,35 +254,6 @@ impl Shell {
             })?),
         };
         Ok(self.fmt_limits())
-    }
-
-    fn cmd_parallel(&mut self, rest: &str) -> Result<String> {
-        match rest {
-            "" | "show" => {}
-            "off" | "none" => self.parallel = None,
-            n => {
-                let n: usize = n
-                    .parse()
-                    .map_err(|_| Error::Eval(format!("parallel: `{n}` is not a number")))?;
-                if n == 0 {
-                    return Err(Error::Eval("parallel: need at least one worker".into()));
-                }
-                self.parallel = Some(n);
-            }
-        }
-        Ok(match self.parallel {
-            Some(1) => "parallel: 1 worker (sequential)".to_string(),
-            Some(n) => format!("parallel: {n} workers (model stays byte-identical)"),
-            None => format!(
-                "parallel: default ({} worker{})",
-                core::EvalOptions::default().parallel,
-                if core::EvalOptions::default().parallel == 1 {
-                    ""
-                } else {
-                    "s"
-                }
-            ),
-        })
     }
 
     fn fmt_limits(&self) -> String {
@@ -424,7 +379,7 @@ impl Shell {
         self.cancel.reset();
         let mut notes = String::new();
         let store = self.checkpoint_store()?;
-        let mut opts = core::EvalOptions {
+        let opts = core::EvalOptions {
             coalesce: true,
             provenance,
             max_derived_tuples: self.limits.fuel,
@@ -436,9 +391,6 @@ impl Shell {
                 .map(|s| core::CheckpointPolicy::every(s, self.checkpoint_every)),
             ..Default::default()
         };
-        if let Some(workers) = self.parallel {
-            opts.parallel = workers;
-        }
         // Resolve a pending resume before evaluating: load the newest
         // readable snapshot, reporting any damaged generations skipped on
         // the way. A missing checkpoint degrades to a fresh run.
@@ -978,48 +930,6 @@ mod tests {
             Step::Continue(s) => s,
             Step::Quit => panic!("unexpected quit"),
         }
-    }
-
-    #[test]
-    fn parallel_command_controls_workers_and_survives_reset() {
-        let mut sh = Shell::new();
-        let out = run(&mut sh, "parallel 4");
-        assert!(out.contains("4 workers"), "{out}");
-        let out = run(&mut sh, "parallel");
-        assert!(out.contains("4 workers"), "{out}");
-        let out = run(&mut sh, "reset");
-        assert!(out.contains("state cleared"), "{out}");
-        let out = run(&mut sh, "parallel");
-        assert!(
-            out.contains("4 workers"),
-            "session config survives reset: {out}"
-        );
-        let out = run(&mut sh, "parallel off");
-        assert!(out.contains("default"), "{out}");
-        let out = run(&mut sh, "parallel nope");
-        assert!(out.contains("not a number"), "{out}");
-        let out = run(&mut sh, "parallel 0");
-        assert!(out.contains("at least one"), "{out}");
-    }
-
-    #[test]
-    fn parallel_eval_output_matches_sequential() {
-        let mut seq = Shell::new();
-        let mut par = Shell::new();
-        for sh in [&mut seq, &mut par] {
-            run(sh, "tuple course (168n+8, 168n+10; database) : T2 = T1 + 2");
-            run(sh, "rule problems[t1 + 2, t2 + 2](C) <- course[t1, t2](C).");
-            run(
-                sh,
-                "rule problems[t1 + 48, t2 + 48](C) <- problems[t1, t2](C).",
-            );
-        }
-        run(&mut seq, "parallel 1");
-        run(&mut par, "parallel 4");
-        let a = run(&mut seq, "eval");
-        let b = run(&mut par, "eval");
-        assert!(a.contains("Converged"), "{a}");
-        assert_eq!(a, b, "parallel eval output must be byte-identical");
     }
 
     #[test]

@@ -98,23 +98,10 @@ pub struct EvalOptions {
     /// write failures never abort the evaluation — they are counted in
     /// [`Evaluation::checkpoints`].
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Worker threads for the derive phase of each iteration. `1` (the
-    /// default) keeps the classic single-threaded path; `N > 1` shards
-    /// each rule firing across a pool of `N` scoped threads (see
-    /// [`crate::parallel`]) with a rendezvous barrier before the merge.
-    /// Models are byte-identical for every value of `parallel`.
+    /// Ignored: the engine has one, single-threaded derive phase. The
+    /// field survives only because the benchmark harness still sets it;
+    /// the next benchmark change deletes it.
     pub parallel: usize,
-}
-
-/// Default worker count: the `ITDB_PARALLEL` environment variable when set
-/// to an integer ≥ 1 (the CI parallel-stress job uses this to force every
-/// default-options evaluation through the sharded path), otherwise 1.
-fn default_parallel() -> usize {
-    std::env::var("ITDB_PARALLEL")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
 }
 
 impl Default for EvalOptions {
@@ -133,7 +120,7 @@ impl Default for EvalOptions {
             use_index: true,
             provenance: false,
             checkpoint: None,
-            parallel: default_parallel(),
+            parallel: 1,
         }
     }
 }
@@ -641,7 +628,7 @@ fn evaluate_governed_impl(
         }
     }
 
-    st.stats.counters = (itdb_lrp::stats::snapshot() - counters_before) + st.worker_counters;
+    st.stats.counters = itdb_lrp::stats::snapshot() - counters_before;
     st.stats.elapsed = eval_start.elapsed();
 
     Ok(Evaluation {
@@ -673,11 +660,11 @@ pub(crate) fn rule_labels(program: &Program) -> Vec<String> {
 type FeKey = (Vec<Lrp>, Vec<DataValue>);
 
 /// The stratified semi-naive loop of `T_GP`, with the free-extension grace
-/// rule, every governor budget, per-tuple trace events, provenance,
-/// parallel derive and the checkpoint sites. It is the crate's one
-/// fixpoint loop: fresh and resumed evaluation run it from an empty or
-/// restored IDB, and [`crate::resident`] re-enters it for every
-/// maintenance batch from the maintained IDB.
+/// rule, every governor budget, per-tuple trace events, provenance and
+/// the checkpoint sites. It is the crate's one fixpoint loop: fresh and
+/// resumed evaluation run it from an empty or restored IDB, and
+/// [`crate::resident`] re-enters it for every maintenance batch from the
+/// maintained IDB.
 pub(crate) struct Fixpoint<'a> {
     /// Static analysis of the program.
     pub(crate) info: &'a ProgramInfo,
@@ -688,7 +675,7 @@ pub(crate) struct Fixpoint<'a> {
     /// The extensional database: stable input to every stratum.
     pub(crate) edb: &'a Database,
     /// Evaluation options (residue budget, index, provenance, trace,
-    /// grace, parallelism, checkpoint policy).
+    /// grace, checkpoint policy).
     pub(crate) opts: &'a EvalOptions,
     /// Authoritative for every resource budget.
     pub(crate) governor: &'a Arc<Governor>,
@@ -716,8 +703,6 @@ pub(crate) struct RunState {
     pub(crate) derivations: Vec<Derivation>,
     /// What checkpointing did.
     pub(crate) report: CheckpointReport,
-    /// `itdb-lrp` counters folded from parallel workers.
-    pub(crate) worker_counters: itdb_lrp::stats::Counters,
 }
 
 /// Where a resumed run re-enters the loop: the in-flight stratum, its
@@ -761,7 +746,6 @@ impl Fixpoint<'_> {
         mut resume: Option<Cursor>,
     ) -> Result<EvalOutcome> {
         let (opts, governor) = (self.opts, self.governor);
-        let workers = opts.parallel.max(1);
         // Source facts are cloned per derivation only when someone will
         // read them: the provenance recorder or an installed trace sink.
         let collect_sources = opts.provenance || itdb_trace::enabled();
@@ -879,22 +863,7 @@ impl Fixpoint<'_> {
                     use_index: opts.use_index,
                     collect_sources,
                 };
-                // The sharded path fires every (clause, delta-position) unit
-                // across the worker pool against the immutable snapshot and
-                // returns the derived tuples in sequential emission order
-                // (see `crate::parallel`); the merge below stays
-                // single-writer either way.
-                let fired = if workers > 1 {
-                    crate::parallel::derive_parallel(
-                        &ctx,
-                        workers,
-                        governor,
-                        &mut st.worker_counters,
-                    )
-                } else {
-                    derive_sequential(&ctx)
-                };
-                let derived = match fired {
+                let derived = match derive_sequential(&ctx) {
                     Ok(d) => d,
                     Err(e) => {
                         // Tripped mid-derivation: abandon this iteration's
@@ -1203,41 +1172,40 @@ struct CheckpointCursor {
 }
 
 /// The immutable snapshot one derive phase fires against, plus the knobs
-/// the clause matcher needs. Shared read-only across the worker pool on
-/// the sharded path (see [`crate::parallel`]).
-pub(crate) struct DeriveCtx<'a> {
+/// the clause matcher needs.
+struct DeriveCtx<'a> {
     /// The stratum's clauses, in firing order.
-    pub(crate) clauses: &'a [&'a NormClause],
+    clauses: &'a [&'a NormClause],
     /// Predicates whose body positions read the delta on semi-naive
     /// passes: the stratum's own, or the seed's on a seeded first pass.
-    pub(crate) delta_preds: &'a [&'a str],
+    delta_preds: &'a [&'a str],
     /// Current IDB snapshot (read-only until the merge).
-    pub(crate) idb: &'a BTreeMap<String, GeneralizedRelation>,
+    idb: &'a BTreeMap<String, GeneralizedRelation>,
     /// Semi-naive delta frontier.
-    pub(crate) delta: &'a BTreeMap<String, GeneralizedRelation>,
+    delta: &'a BTreeMap<String, GeneralizedRelation>,
     /// The extensional database.
-    pub(crate) edb: &'a Database,
+    edb: &'a Database,
     /// Empty relation per predicate (missing-relation fallback).
-    pub(crate) empty: &'a BTreeMap<String, GeneralizedRelation>,
+    empty: &'a BTreeMap<String, GeneralizedRelation>,
     /// Program analysis (intensional set).
-    pub(crate) info: &'a ProgramInfo,
+    info: &'a ProgramInfo,
     /// One label per source clause, for rule spans.
-    pub(crate) rule_labels: &'a [String],
+    rule_labels: &'a [String],
     /// Fire each clause once per delta position (`true`) or once against
     /// the full relations (`false`).
-    pub(crate) seminaive_pass: bool,
+    seminaive_pass: bool,
     /// Residue budget for exact zone operations.
-    pub(crate) residue_budget: u64,
+    residue_budget: u64,
     /// Consult the data-vector index when matching.
-    pub(crate) use_index: bool,
+    use_index: bool,
     /// Clone matched source facts into every emission.
-    pub(crate) collect_sources: bool,
+    collect_sources: bool,
 }
 
 impl<'a> DeriveCtx<'a> {
     /// The relation body position `i` reads with the delta substituted at
     /// `dpos` (if any).
-    pub(crate) fn rel_for(
+    fn rel_for(
         &self,
         clause: &'a NormClause,
         dpos: Option<usize>,
@@ -1252,7 +1220,7 @@ impl<'a> DeriveCtx<'a> {
     }
 
     /// Relations for a clause's negated atoms (stable inputs).
-    pub(crate) fn neg_rels(&self, clause: &'a NormClause) -> Vec<&'a GeneralizedRelation> {
+    fn neg_rels(&self, clause: &'a NormClause) -> Vec<&'a GeneralizedRelation> {
         clause
             .neg_body
             .iter()
@@ -1271,11 +1239,9 @@ impl<'a> DeriveCtx<'a> {
     }
 }
 
-/// The classic single-threaded derive phase of one iteration: fires every
-/// stratum clause (each delta position on semi-naive passes) against the
-/// snapshot, returning the emissions in firing order. This is the
-/// `--parallel 1` oracle the sharded path ([`crate::parallel`]) is
-/// byte-identical to.
+/// The derive phase of one iteration: fires every stratum clause (each
+/// delta position on semi-naive passes) against the snapshot, returning
+/// the emissions in firing order for the single-writer merge.
 fn derive_sequential(ctx: &DeriveCtx<'_>) -> Result<Vec<Pending>> {
     let mut derived = Vec::new();
     for &clause in ctx.clauses {
@@ -1306,7 +1272,6 @@ fn derive_sequential(ctx: &DeriveCtx<'_>) -> Result<Vec<Pending>> {
                 ctx.residue_budget,
                 ctx.use_index,
                 ctx.collect_sources,
-                None,
                 &mut |t, sources| {
                     derived.push(Pending {
                         pred: clause.head_pred.clone(),
@@ -1323,33 +1288,24 @@ fn derive_sequential(ctx: &DeriveCtx<'_>) -> Result<Vec<Pending>> {
 
 /// A derived head tuple awaiting canonicalization and subsumption insert,
 /// with the rule that produced it and (when collected) its source facts.
-pub(crate) struct Pending {
-    pub(crate) pred: String,
-    pub(crate) rule: usize,
-    pub(crate) tuple: GeneralizedTuple,
-    pub(crate) sources: Vec<(String, GeneralizedTuple)>,
+struct Pending {
+    pred: String,
+    rule: usize,
+    tuple: GeneralizedTuple,
+    sources: Vec<(String, GeneralizedTuple)>,
 }
 
 /// Applies one clause to the given body relations, emitting derived head
 /// tuples through `emit`. When `collect_sources` is set, each emission
 /// carries the positive body facts matched on the DFS path that produced
 /// it (cloned); otherwise the source list is empty.
-///
-/// `level0_shard` restricts the *outermost* candidate list (body position
-/// 0) to the contiguous range `[lo, hi)` — the sharding hook of
-/// [`crate::parallel`]: because the level-0 list is the DFS's outermost
-/// loop, the emissions of one shard are exactly the contiguous slice of
-/// the full emission sequence whose outermost candidate index falls in
-/// the range. `None` fires the whole clause (the sequential path).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_clause<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
+fn eval_clause<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
     clause: &'a NormClause,
     rel_for: &F,
     neg_rels: &[&GeneralizedRelation],
     budget: u64,
     use_index: bool,
     collect_sources: bool,
-    level0_shard: Option<(usize, usize)>,
     emit: &mut dyn FnMut(GeneralizedTuple, Vec<(String, GeneralizedTuple)>),
 ) -> Result<()> {
     let n = clause.n_tvars;
@@ -1368,7 +1324,6 @@ pub(crate) fn eval_clause<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
         budget,
         use_index,
         collect_sources,
-        level0_shard,
         emit,
     )
 }
@@ -1410,7 +1365,6 @@ fn dfs<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
     budget: u64,
     use_index: bool,
     collect_sources: bool,
-    level0_shard: Option<(usize, usize)>,
     emit: &mut dyn FnMut(GeneralizedTuple, Vec<(String, GeneralizedTuple)>),
 ) -> Result<()> {
     if k == clause.body.len() {
@@ -1430,18 +1384,10 @@ fn dfs<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
     // far, only same-data tuples can match: consult the index bucket
     // instead of scanning the whole relation. (The data unification below
     // then passes trivially, but stays as the single source of truth.)
-    let mut candidates: Vec<&GeneralizedTuple> = match ground_data_key(&atom.data, &state.binding) {
+    let candidates: Vec<&GeneralizedTuple> = match ground_data_key(&atom.data, &state.binding) {
         Some(key) if use_index && !atom.data.is_empty() => rel.candidates(&key),
         _ => rel.tuples().iter().collect(),
     };
-    // Parallel sharding applies only at the outermost level; the range was
-    // planned against the same candidate-selection rule over the immutable
-    // snapshot, so it always lies in bounds (guarded regardless).
-    if k == 0 {
-        if let Some((lo, hi)) = level0_shard {
-            candidates = candidates.get(lo..hi).map_or_else(Vec::new, <[_]>::to_vec);
-        }
-    }
     'tuples: for tuple in candidates {
         // Save state for backtracking.
         let saved_lrps = state.lrps.clone();
@@ -1493,7 +1439,6 @@ fn dfs<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
             budget,
             use_index,
             collect_sources,
-            None, // shard consumed at level 0
             emit,
         );
         state.matched.pop();
@@ -1781,45 +1726,6 @@ mod tests {
             EvalOutcome::Converged { iterations: 8 }
         ));
         assert_eq!(eval.fe_safe_at, Some(8));
-    }
-
-    /// The sharded derive phase reproduces Example 4.1 byte for byte at
-    /// every pool size — model, outcome, per-iteration trace, and the
-    /// paper's insertion order all match the sequential run.
-    #[test]
-    fn example_4_1_parallel_is_byte_identical() {
-        let base = EvalOptions {
-            trace: true,
-            parallel: 1,
-            ..Default::default()
-        };
-        let seq = evaluate_with(&example_4_1(), &course_db(), &base).unwrap();
-        for workers in [2usize, 3, 4, 8] {
-            let opts = EvalOptions {
-                parallel: workers,
-                ..base.clone()
-            };
-            let par = evaluate_with(&example_4_1(), &course_db(), &opts).unwrap();
-            assert_eq!(par.outcome, seq.outcome, "workers={workers}");
-            assert_eq!(par.idb, seq.idb, "workers={workers}");
-            assert_eq!(par.trace.len(), seq.trace.len(), "workers={workers}");
-            for (p, s) in par.trace.iter().zip(&seq.trace) {
-                assert_eq!(p.inserted, s.inserted, "workers={workers}");
-                assert_eq!(p.subsumed, s.subsumed, "workers={workers}");
-            }
-            // Counter totals agree wherever the work is identical; the
-            // canonical-cache split can only differ by which thread saw
-            // the miss, never in the total.
-            assert_eq!(
-                par.stats.counters.canonical_cache_hits + par.stats.counters.canonical_cache_misses,
-                seq.stats.counters.canonical_cache_hits + seq.stats.counters.canonical_cache_misses,
-                "workers={workers}"
-            );
-            assert_eq!(
-                par.stats.counters.subsumption_checks, seq.stats.counters.subsumption_checks,
-                "workers={workers}"
-            );
-        }
     }
 
     #[test]

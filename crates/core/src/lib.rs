@@ -44,7 +44,6 @@ pub mod engine;
 pub mod ground;
 pub mod metrics;
 pub mod normalize;
-pub(crate) mod parallel;
 pub mod parser;
 pub mod provenance;
 pub mod query;

@@ -427,8 +427,7 @@ impl Service {
     ///
     /// If the request carries an id, it is installed as the thread's
     /// trace context for the duration, so every event the evaluation
-    /// emits — including events folded back from parallel workers —
-    /// carries the id.
+    /// emits carries the id.
     pub fn run_query(&self, req: &QueryRequest) -> Result<QueryResponse> {
         let _ctx = req
             .request_id
@@ -560,10 +559,9 @@ mod tests {
 
     /// The request-id chain at the service layer: the id is installed as
     /// the trace context for exactly the duration of the evaluation, every
-    /// emitted event carries it (including events folded back from the
-    /// parallel derive pool when `ITDB_PARALLEL` forces sharding), and the
-    /// response echoes it after `stats` so byte-comparison harnesses that
-    /// strip from `,"stats":` onward are unaffected.
+    /// emitted event carries it, and the response echoes it after `stats`
+    /// so byte-comparison harnesses that strip from `,"stats":` onward are
+    /// unaffected.
     #[test]
     fn request_id_is_echoed_and_stamped_on_every_event() {
         let s = service(WORKLOAD);

@@ -24,7 +24,7 @@ struct RandomWorkload {
     edb_offset: i64,
 }
 
-/// The always-converging family of `prop_engine`/`prop_parallel`:
+/// The always-converging family of `prop_engine`:
 /// shift-recursions over periodic EDBs (subsumption closes the orbit),
 /// plus data-carrying joins and a negated rule so ingestion exercises
 /// both the incremental path and the negation fallback.
@@ -98,7 +98,6 @@ fn materialize(spec: &FactSpec) -> Op {
 
 fn opts() -> EvalOptions {
     EvalOptions {
-        parallel: 1,
         grace_after_fe_safety: 32,
         ..EvalOptions::default()
     }

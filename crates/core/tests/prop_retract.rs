@@ -118,7 +118,6 @@ fn materialize(spec: &OpSpec) -> Op {
 
 fn opts(provenance: bool) -> EvalOptions {
     EvalOptions {
-        parallel: 1,
         grace_after_fe_safety: 32,
         provenance,
         ..EvalOptions::default()

@@ -125,15 +125,6 @@ impl GeneralizedRelation {
         cand
     }
 
-    /// How many tuples [`GeneralizedRelation::candidates`] would return for
-    /// this data vector, **without** recording an index-lookup observation
-    /// in [`crate::stats`] or the trace stream. Used by planners (e.g. the
-    /// parallel fixpoint's shard planner) that need bucket sizes up front
-    /// but must not double-count the worker's eventual real lookup.
-    pub fn candidates_len(&self, data: &[DataValue]) -> usize {
-        self.index.get(data).map_or(0, |bucket| bucket.len())
-    }
-
     /// Builds a relation from tuples, checking the schema of each.
     pub fn from_tuples(schema: Schema, tuples: Vec<GeneralizedTuple>) -> Result<Self> {
         let mut r = GeneralizedRelation::empty(schema);

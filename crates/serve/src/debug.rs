@@ -250,7 +250,7 @@ impl DebugState {
     }
 
     /// Folds one request's span profile into the route's aggregate.
-    pub fn absorb_profile(&self, route: &str, profile: &Profile) {
+    pub fn record_profile(&self, route: &str, profile: &Profile) {
         let mut profiles = lock(&self.profiles);
         let rp = profiles.entry(route.to_string()).or_default();
         rp.requests += 1;
@@ -495,8 +495,8 @@ mod tests {
             total: std::time::Duration::from_micros(100),
             self_time: std::time::Duration::from_micros(40),
         });
-        d.absorb_profile("/query", &p);
-        d.absorb_profile("/query", &p);
+        d.record_profile("/query", &p);
+        d.record_profile("/query", &p);
         let json = d.profile_json();
         assert!(json.contains("\"route\":\"/query\""), "{json}");
         assert!(json.contains("\"requests\":2"), "{json}");

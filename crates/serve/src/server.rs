@@ -23,9 +23,8 @@
 //!
 //! Every request gets an `X-Itdb-Request-Id` (the inbound header is
 //! honored, otherwise one is generated), which becomes the thread's
-//! trace context for the evaluation — every event the engine emits,
-//! including events folded back from parallel derive workers, carries
-//! the id — and is echoed in the `/query` response JSON and headers.
+//! trace context for the evaluation — every event the engine emits
+//! carries the id — and is echoed in the `/query` response JSON and headers.
 //! Workers keep an always-on bounded flight-recorder ring
 //! ([`itdb_trace::flight`]) of recent events; governor trips, worker
 //! panics, and sheds snapshot every ring into a retained dump
@@ -920,7 +919,7 @@ fn serve_query(
     itdb_trace::set_profiling(false);
     let profile = itdb_trace::take_profile();
     let elapsed = started.elapsed();
-    ctx.debug.absorb_profile("/query", &profile);
+    ctx.debug.record_profile("/query", &profile);
     match result {
         Ok((mut resp, materialised)) => {
             resp.request_id = Some(request_id.to_string());

@@ -37,14 +37,7 @@ impl Drop for RequestIdGuard {
 /// Installs `id` as the current thread's request id until the returned
 /// guard drops (which restores whatever was installed before).
 pub fn set_request_id(id: &str) -> RequestIdGuard {
-    set_request_id_arc(Arc::from(id))
-}
-
-/// Like [`set_request_id`] but reuses an existing allocation — the form
-/// the parallel worker pool uses to propagate the coordinator's id into
-/// each scoped worker without re-allocating per worker.
-pub fn set_request_id_arc(id: Arc<str>) -> RequestIdGuard {
-    let prev = CURRENT.with(|c| c.borrow_mut().replace(id));
+    let prev = CURRENT.with(|c| c.borrow_mut().replace(Arc::from(id)));
     RequestIdGuard { prev }
 }
 
@@ -69,13 +62,5 @@ mod tests {
         assert_eq!(current_request_id().as_deref(), Some("req-outer"));
         drop(outer);
         assert_eq!(current_request_id(), None);
-    }
-
-    #[test]
-    fn arc_form_shares_the_allocation() {
-        let id: Arc<str> = Arc::from("req-shared");
-        let _g = set_request_id_arc(Arc::clone(&id));
-        let seen = current_request_id().expect("id installed");
-        assert!(Arc::ptr_eq(&seen, &id));
     }
 }

@@ -46,11 +46,11 @@ mod sink;
 mod span;
 
 pub use collector::{add_sink, clear_sinks, emit, enabled, flush_sinks, remove_sink, SinkId};
-pub use context::{current_request_id, set_request_id, set_request_id_arc, RequestIdGuard};
+pub use context::{current_request_id, set_request_id, RequestIdGuard};
 pub use event::{Event, EventKind, SourceFact};
 pub use fanout::{FanoutSink, Subscription};
 pub use sink::{dropped_events, JsonlSink, MemorySink, RingSink, Sink};
 pub use span::{
-    absorb_profile, fmt_duration, profiling, set_profiling, span, span_with, take_profile, Profile,
-    ProfileEntry, SpanGuard, SpanKind,
+    fmt_duration, profiling, set_profiling, span, span_with, take_profile, Profile, ProfileEntry,
+    SpanGuard, SpanKind,
 };

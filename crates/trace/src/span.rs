@@ -88,35 +88,6 @@ pub fn take_profile() -> Profile {
     Profile { entries }
 }
 
-/// Merges a profile taken on another thread into this thread's
-/// accumulator: counts and durations add per `(kind, label)` identity.
-///
-/// This is how per-worker span stacks are folded at a barrier: spans (and
-/// the profile they accumulate into) are **thread-local**, so a worker
-/// thread profiles itself with [`set_profiling`]`(true)`, hands
-/// [`take_profile`]`()` back to its coordinator when it rendezvouses, and
-/// the coordinator absorbs it here — after which its own [`take_profile`]
-/// reports the whole fan-out as one measurement window.
-pub fn absorb_profile(profile: Profile) {
-    PROFILE.with(|p| {
-        let mut map = p.borrow_mut();
-        for e in profile.entries {
-            let entry = map
-                .entry((e.kind, e.label.clone()))
-                .or_insert_with(|| ProfileEntry {
-                    kind: e.kind,
-                    label: e.label.clone(),
-                    count: 0,
-                    total: Duration::ZERO,
-                    self_time: Duration::ZERO,
-                });
-            entry.count += e.count;
-            entry.total += e.total;
-            entry.self_time += e.self_time;
-        }
-    });
-}
-
 /// Aggregated span timings for one measurement window, sorted by
 /// descending self-time (the shell's `profile` table order).
 #[derive(Debug, Clone, Default)]
@@ -289,44 +260,6 @@ mod tests {
         assert_eq!(inner.self_time, inner.total);
         // Second take is empty (accumulator cleared).
         assert!(take_profile().entries.is_empty());
-    }
-
-    #[test]
-    fn absorb_profile_folds_worker_windows_into_the_coordinator() {
-        set_profiling(true);
-        {
-            let _own = span(SpanKind::Rule, "shared-label");
-        }
-        // A "worker" profile with an overlapping and a distinct identity.
-        let worker = Profile {
-            entries: vec![
-                ProfileEntry {
-                    kind: SpanKind::Rule,
-                    label: "shared-label".into(),
-                    count: 3,
-                    total: Duration::from_micros(30),
-                    self_time: Duration::from_micros(20),
-                },
-                ProfileEntry {
-                    kind: SpanKind::Op,
-                    label: "worker-only".into(),
-                    count: 1,
-                    total: Duration::from_micros(5),
-                    self_time: Duration::from_micros(5),
-                },
-            ],
-        };
-        absorb_profile(worker);
-        set_profiling(false);
-        let folded = take_profile();
-        let shared = folded
-            .entries
-            .iter()
-            .find(|e| e.label == "shared-label")
-            .expect("shared identity folded");
-        assert_eq!(shared.count, 4, "1 own + 3 absorbed");
-        assert!(shared.total >= Duration::from_micros(30));
-        assert!(folded.entries.iter().any(|e| e.label == "worker-only"));
     }
 
     #[test]
