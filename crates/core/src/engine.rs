@@ -42,9 +42,9 @@ use crate::analyze::{analyze, ProgramInfo};
 use crate::ast::{CmpOp, DataTerm, Program};
 use crate::checkpoint::{Checkpoint, CheckpointPolicy, CheckpointReport, SavedStratum};
 use crate::db::Database;
-use crate::normalize::{normalize_program, NormAtom, NormClause, NormConstraint};
+use crate::normalize::{normalize_program, NormClause, NormConstraint};
 use itdb_lrp::{
-    CancelToken, Constraint, DataValue, Dbm, Error, GeneralizedRelation, GeneralizedTuple,
+    pattern, CancelToken, Constraint, DataValue, Dbm, Error, GeneralizedRelation, GeneralizedTuple,
     Governor, GovernorConfig, GovernorStats, Lrp, Result, TripReason, Var, Zone,
     DEFAULT_RESIDUE_BUDGET,
 };
@@ -1418,7 +1418,12 @@ fn dfs<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
         }
 
         // Temporal join: intersect lrps and import the tuple's constraints.
-        if !apply_temporal(atom, tuple, state)? {
+        if !pattern::transfer(
+            &atom.temporal,
+            tuple.zone(),
+            &mut state.lrps,
+            &mut state.dbm,
+        )? {
             undo(state, saved_lrps, saved_dbm, &bound_here);
             continue 'tuples;
         }
@@ -1453,57 +1458,6 @@ fn undo(state: &mut MatchState<'_>, lrps: Vec<Lrp>, dbm: Dbm, bound_here: &[Stri
     state.dbm = dbm;
     for v in bound_here {
         state.binding.remove(v);
-    }
-}
-
-/// Joins one body atom against one generalized tuple: for each position
-/// `p` holding the term `v + s` and matching the tuple's column `p`, the
-/// clause variable `v` must lie in `lrp_p − s`, and the tuple's difference
-/// constraints transfer onto the clause variables with shift-adjusted
-/// offsets. Returns `false` when a residue clash makes the match empty.
-fn apply_temporal(
-    atom: &NormAtom,
-    tuple: &GeneralizedTuple,
-    state: &mut MatchState<'_>,
-) -> Result<bool> {
-    let zone = tuple.zone();
-    for (pos, &(v, s)) in atom.temporal.iter().enumerate() {
-        let shifted = zone
-            .lrp(pos)
-            .shift(s.checked_neg().ok_or(Error::Overflow)?)?;
-        match state.lrps[v].intersect(&shifted)? {
-            Some(meet) => state.lrps[v] = meet,
-            None => return Ok(false),
-        }
-    }
-    // Map the tuple's DBM bounds onto clause variables. Tuple matrix index
-    // `a > 0` is column `a − 1`, which corresponds to clause variable
-    // `atom.temporal[a − 1].0` with shift `atom.temporal[a − 1].1`.
-    for (a, b, c) in zone.dbm().finite_bounds() {
-        let (mi, si) = map_idx(atom, a);
-        let (mj, sj) = map_idx(atom, b);
-        if mi == mj {
-            // Same clause variable on both sides: x_i − x_j = s_i − s_j,
-            // so the bound degenerates to the constant fact s_i − s_j ≤ c.
-            if si.saturating_sub(sj) > c {
-                return Ok(false);
-            }
-            continue;
-        }
-        state
-            .dbm
-            .add_le(mi, mj, c.saturating_sub(si).saturating_add(sj));
-    }
-    Ok(true)
-}
-
-/// Maps a tuple matrix index to (clause matrix index, shift).
-fn map_idx(atom: &NormAtom, a: usize) -> (usize, i64) {
-    if a == 0 {
-        (0, 0)
-    } else {
-        let (v, s) = atom.temporal[a - 1];
-        (v + 1, s)
     }
 }
 
@@ -1562,14 +1516,10 @@ fn finish(
                 }
             }
             // Temporal region forbidden by this tuple.
-            let mut probe = MatchState {
-                lrps: vec![Lrp::all_integers(); clause.n_tvars],
-                dbm: Dbm::unconstrained(clause.n_tvars),
-                binding: HashMap::new(),
-                matched: Vec::new(),
-            };
-            if apply_temporal(atom, tuple, &mut probe)? {
-                forbidden.push(Zone::from_parts(probe.lrps, probe.dbm)?);
+            let mut lrps = vec![Lrp::all_integers(); clause.n_tvars];
+            let mut dbm = Dbm::unconstrained(clause.n_tvars);
+            if pattern::transfer(&atom.temporal, tuple.zone(), &mut lrps, &mut dbm)? {
+                forbidden.push(Zone::from_parts(lrps, dbm)?);
             }
         }
         if forbidden.is_empty() {

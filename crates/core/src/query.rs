@@ -6,20 +6,69 @@
 //! the pattern's distinct variables — in closed form, exactly as the
 //! paper's answers "can be finitely represented as temporal databases".
 //!
+//! [`query`] maps the atom onto the atom kernel ([`itdb_lrp::pattern`]),
+//! the same pattern-to-tuple transfer the engine's clause bodies and the
+//! first-order atoms use: each matching tuple is restated over the
+//! pattern's variables, and a pattern whose data terms are all constants
+//! scans only that data vector's index bucket. [`query_naive`] is its
+//! oracle twin: select, shift, project over a full scan.
+//!
 //! Example: against the Example 4.1 model, the pattern
 //! `problems[t, t + 2](database)` asks for the session start times `t`
 //! whose matching end time is `t + 2`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::ast::{Atom, DataTerm, TemporalTerm};
+use itdb_lrp::pattern::{intern, AtomPattern, DataSlot, Slot};
 use itdb_lrp::{
     algebra, Constraint, Error, GeneralizedRelation, GeneralizedTuple, Result, Schema, Var,
 };
+
+/// The kernel pattern of `atom`: variables numbered in order of first
+/// occurrence, separately for the temporal and the data sort.
+pub fn atom_pattern(atom: &Atom) -> AtomPattern {
+    let mut tvars = Vec::new();
+    let temporal = atom
+        .temporal
+        .iter()
+        .map(|t| match t {
+            TemporalTerm::Var { name, offset } => Slot::Var(intern(&mut tvars, name), *offset),
+            TemporalTerm::Const(c) => Slot::Const(*c),
+        })
+        .collect();
+    let mut dvars = Vec::new();
+    let data = atom
+        .data
+        .iter()
+        .map(|d| match d {
+            DataTerm::Var(v) => DataSlot::Var(intern(&mut dvars, v)),
+            DataTerm::Const(c) => DataSlot::Const(c.clone()),
+        })
+        .collect();
+    AtomPattern { temporal, data }
+}
 
 /// Evaluates an atom pattern against a relation; see the module docs.
 ///
 /// The answer's temporal columns are the pattern's distinct temporal
 /// variables in order of first occurrence; likewise for data columns.
 pub fn query(
+    rel: &GeneralizedRelation,
+    pattern: &Atom,
+    budget: u64,
+) -> Result<GeneralizedRelation> {
+    let mut out = atom_pattern(pattern).select(rel, budget)?;
+    out.normalize(budget)?;
+    Ok(out)
+}
+
+/// The oracle twin of [`query`]: the same answer (as a set of ground
+/// tuples) computed by relational algebra over the whole relation —
+/// select the temporal constraints the pattern induces, filter the data,
+/// shift each variable's representative column back by its offset, and
+/// project onto the representatives.
+pub fn query_naive(
     rel: &GeneralizedRelation,
     pattern: &Atom,
     budget: u64,
@@ -124,6 +173,7 @@ pub fn singleton(schema: Schema, tuple: GeneralizedTuple) -> Result<GeneralizedR
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::db::Database;

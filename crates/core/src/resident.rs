@@ -97,7 +97,6 @@ use crate::engine::{
     Evaluation, Fixpoint, RunState,
 };
 use crate::normalize::{normalize_program, NormClause};
-use crate::query::query;
 use crate::service::{QueryResponse, QueryStatus};
 use itdb_lrp::{Error, GeneralizedRelation, GeneralizedTuple, Governor, Result, Schema};
 use itdb_store::Section;
@@ -351,24 +350,14 @@ impl ResidentModel {
     /// the answers carry the model's status. No evaluation happens here,
     /// so the response's `stats` are all zero.
     pub fn answer(&self, atom: &Atom) -> Result<QueryResponse> {
-        let rel = self.relation(&atom.pred).ok_or_else(|| {
-            Error::Eval(format!(
-                "unknown predicate `{}` (neither derived nor extensional)",
-                atom.pred
-            ))
-        })?;
-        let answers = query(rel, atom, self.opts.residue_budget)?
-            .tuples()
-            .iter()
-            .map(|t| t.to_string())
-            .collect();
-        Ok(QueryResponse {
-            pred: atom.pred.clone(),
-            status: self.status.clone(),
-            answers,
-            stats: EvalStats::default(),
-            request_id: None,
-        })
+        QueryResponse::lookup(
+            &self.idb,
+            &self.edb,
+            atom,
+            self.opts.residue_budget,
+            self.status.clone(),
+            EvalStats::default(),
+        )
     }
 
     /// The workload program this model maintains.
@@ -1468,14 +1457,15 @@ mod tests {
     }
 
     /// `answer` queries with the model's own residue budget, not a fresh
-    /// `EvalOptions::default()`: projecting out a coprime-period partner
-    /// needs a residue split that a budget of 8 cannot afford.
+    /// `EvalOptions::default()`: deciding the emptiness of a match that
+    /// keeps two coprime periods under a difference bound needs a residue
+    /// split that a budget of 8 cannot afford.
     #[test]
     fn answer_uses_the_models_residue_budget() {
         let mut edb = Database::new();
         edb.insert_parsed("pair", "(97n, 101n) : T1 < T2 + 50")
             .unwrap();
-        let atom = crate::parser::parse_atom("pair[t, 202]").unwrap();
+        let atom = crate::parser::parse_atom("pair[t, u]").unwrap();
         let roomy =
             ResidentModel::new(Program::default(), edb.clone(), EvalOptions::default()).unwrap();
         assert!(roomy.answer(&atom).is_ok());

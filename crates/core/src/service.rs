@@ -39,13 +39,14 @@
 // taxonomy, never panic.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::ast::Program;
+use crate::ast::{Atom, Program};
 use crate::db::Database;
 use crate::engine::{evaluate_with, EvalOptions, EvalOutcome, EvalStats};
 use crate::parser::{parse_atom, parse_clause};
 use crate::query::query;
 use crate::resident::ResidentModel;
 use itdb_lrp::{parser as lrp_parser, Error, GeneralizedRelation, Result, Schema, TripReason};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
@@ -276,6 +277,42 @@ pub struct QueryResponse {
 }
 
 impl QueryResponse {
+    /// The response to `atom` over a model: the pattern's relation, looked
+    /// up among the derived relations `idb` first and the extensional `edb`
+    /// second, is answered by [`query`], one rendered tuple per answer.
+    /// The caller supplies the model's status and statistics; the request
+    /// id is left unset.
+    pub(crate) fn lookup(
+        idb: &BTreeMap<String, GeneralizedRelation>,
+        edb: &Database,
+        atom: &Atom,
+        budget: u64,
+        status: QueryStatus,
+        stats: EvalStats,
+    ) -> Result<QueryResponse> {
+        let rel = idb
+            .get(&atom.pred)
+            .or_else(|| edb.get(&atom.pred))
+            .ok_or_else(|| {
+                Error::Eval(format!(
+                    "unknown predicate `{}` (neither derived nor extensional)",
+                    atom.pred
+                ))
+            })?;
+        let answers = query(rel, atom, budget)?
+            .tuples()
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        Ok(QueryResponse {
+            pred: atom.pred.clone(),
+            status,
+            answers,
+            stats,
+            request_id: None,
+        })
+    }
+
     /// Renders the response as one JSON object via the workspace's
     /// hand-rolled encoder (stable field order, strings escaped).
     pub fn to_json(&self) -> String {
@@ -389,15 +426,12 @@ impl Service {
     /// uses for a request without its own budget), folds the evaluation's
     /// statistics into the totals, and keeps the result; concurrent first
     /// callers wait for it, and every later call is a lock-free read. The
-    /// `bool` is true for the one call that materialised the model.
-    ///
-    /// `request_id` becomes the trace context of the materialisation, so
-    /// its events carry the id of the read that triggered it.
-    pub fn model(&self, request_id: Option<&str>) -> Result<(&ResidentModel, bool)> {
+    /// `bool` is true for the one call that materialised the model. The
+    /// materialisation's events carry the caller's trace context.
+    pub fn model(&self) -> Result<(&ResidentModel, bool)> {
         let mut built = false;
         let model = self.model.get_or_init(|| {
             built = true;
-            let _ctx = request_id.map(itdb_trace::context::set_request_id);
             let opts = self.options(None, None);
             let eval = evaluate_with(&self.workload.program, &self.workload.edb, &opts)?;
             self.lock_totals().stats.absorb(&eval.stats);
@@ -436,31 +470,22 @@ impl Service {
         let atom = parse_atom(&req.pattern)?;
         let opts = self.options(req.fuel, req.timeout);
         let eval = evaluate_with(&self.workload.program, &self.workload.edb, &opts)?;
-        let rel = match eval.relation(&atom.pred) {
-            Some(r) => r,
-            None => self.workload.edb.get(&atom.pred).ok_or_else(|| {
-                Error::Eval(format!(
-                    "unknown predicate `{}` (neither derived nor extensional)",
-                    atom.pred
-                ))
-            })?,
-        };
-        let answers_rel = query(rel, &atom, opts.residue_budget)?;
-        let answers: Vec<String> = answers_rel.tuples().iter().map(|t| t.to_string()).collect();
-        let status = QueryStatus::from(&eval.outcome);
+        let mut resp = QueryResponse::lookup(
+            &eval.idb,
+            &self.workload.edb,
+            &atom,
+            opts.residue_budget,
+            QueryStatus::from(&eval.outcome),
+            eval.stats,
+        )?;
         // The explicit cross-thread fold — see the module docs.
         {
             let mut totals = self.lock_totals();
-            totals.count(&status);
-            totals.stats.absorb(&eval.stats);
+            totals.count(&resp.status);
+            totals.stats.absorb(&resp.stats);
         }
-        Ok(QueryResponse {
-            pred: atom.pred.clone(),
-            status,
-            answers,
-            stats: eval.stats,
-            request_id: req.request_id.clone(),
-        })
+        resp.request_id = req.request_id.clone();
+        Ok(resp)
     }
 
     /// A snapshot of the folded aggregate counters.
@@ -599,7 +624,7 @@ mod tests {
     fn model_is_materialised_once_and_matches_run_query() {
         let s = service(WORKLOAD);
         assert_eq!(s.totals().stats.tuples_derived, 0, "new evaluates nothing");
-        let (model, built) = s.model(None).unwrap();
+        let (model, built) = s.model().unwrap();
         assert!(built, "the first read materialises");
         let derived = s.totals().stats.tuples_derived;
         assert!(derived > 0);
@@ -609,7 +634,7 @@ mod tests {
             let prefix = |json: &str| json.split(",\"stats\":").next().unwrap().to_string();
             assert_eq!(prefix(&looked_up.to_json()), prefix(&evaluated.to_json()));
         }
-        let (_, built) = s.model(None).unwrap();
+        let (_, built) = s.model().unwrap();
         assert!(!built, "later reads reuse the model");
         let oracle_runs = 2;
         assert_eq!(s.totals().stats.tuples_derived, derived * (1 + oracle_runs));
@@ -628,15 +653,13 @@ mod tests {
         );
         let p = parse_atom("p[t]").unwrap();
         for _ in 0..2 {
-            let resp = starved.model(None).unwrap().0.answer(&p).unwrap();
+            let resp = starved.model().unwrap().0.answer(&p).unwrap();
             assert!(matches!(resp.status, QueryStatus::Interrupted(_)));
             assert!(!resp.answers.is_empty());
         }
         let fed = service(DIVERGING);
-        assert_eq!(fed.model(None).unwrap().0.status(), &QueryStatus::Diverged);
-        assert!(service("rule p[t] <- ghost[t], !p[t].\n")
-            .model(None)
-            .is_err());
+        assert_eq!(fed.model().unwrap().0.status(), &QueryStatus::Diverged);
+        assert!(service("rule p[t] <- ghost[t], !p[t].\n").model().is_err());
     }
 
     #[test]

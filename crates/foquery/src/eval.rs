@@ -12,7 +12,10 @@
 //! variables — finitely representable even when infinite, exactly as the
 //! paper requires of \[KSW90\] query answers.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::ast::{is_data_var, CmpOp, DTerm, Formula, TTerm};
+use itdb_lrp::pattern::{intern, AtomPattern, DataSlot, Slot};
 use itdb_lrp::{
     algebra, parser as lrp_parser, Constraint, DataValue, Error, GeneralizedRelation,
     GeneralizedTuple, Lrp, Result, Schema, Var, Zone, DEFAULT_RESIDUE_BUDGET,
@@ -209,14 +212,19 @@ impl Tagged {
             cur_d.extend(missing_d.into_iter().cloned());
         }
         // Reorder to the target column order.
+        let position = |cur: &[String], v: &String| {
+            cur.iter()
+                .position(|c| c == v)
+                .ok_or_else(|| Error::Eval(format!("column `{v}` missing after alignment")))
+        };
         let t_perm: Vec<usize> = tvars
             .iter()
-            .map(|v| cur_t.iter().position(|c| c == v).expect("aligned"))
-            .collect();
+            .map(|v| position(&cur_t, v))
+            .collect::<Result<_>>()?;
         let d_perm: Vec<usize> = dvars
             .iter()
-            .map(|v| cur_d.iter().position(|c| c == v).expect("aligned"))
-            .collect();
+            .map(|v| position(&cur_d, v))
+            .collect::<Result<_>>()?;
         algebra::permute(&rel, &t_perm, &d_perm)
     }
 }
@@ -227,14 +235,19 @@ fn eval(f: &Formula, db: &FoDatabase, domain: &[DataValue], opts: &FoOptions) ->
             pred,
             temporal,
             data,
-        } => eval_atom(pred, temporal, data, db, opts),
-        Formula::Cmp { lhs, op, rhs } => eval_cmp(lhs, *op, rhs),
+        } => {
+            let rel = db
+                .get(pred)
+                .ok_or_else(|| Error::Eval(format!("unknown relation `{pred}`")))?;
+            eval_atom(rel, temporal, data, opts)
+        }
+        Formula::Cmp { lhs, op, rhs } => eval_atom(&cmp_relation(*op)?, [lhs, rhs], [], opts),
         Formula::Mod {
             term,
             modulus,
             residue,
-        } => eval_mod(term, *modulus, *residue),
-        Formula::DataEq(a, b) => eval_data_eq(a, b, domain),
+        } => eval_atom(&mod_relation(*modulus, *residue)?, [term], [], opts),
+        Formula::DataEq(a, b) => eval_atom(&eq_relation(domain)?, [], [a, b], opts),
         Formula::And(a, b) => {
             let ta = eval(a, db, domain, opts)?;
             let tb = eval(b, db, domain, opts)?;
@@ -352,361 +365,77 @@ fn project_out(t: Tagged, vars: &[String], opts: &FoOptions) -> Result<Tagged> {
     })
 }
 
-fn eval_atom(
-    pred: &str,
-    temporal: &[TTerm],
-    data: &[DTerm],
-    db: &FoDatabase,
+/// An atom through the atom kernel: the tuples of `rel` matching the
+/// terms, restated over the atom's distinct variables (first-occurrence
+/// order). Comparisons, periodicity and data equality are atoms over the
+/// built-in relations below.
+fn eval_atom<'a>(
+    rel: &GeneralizedRelation,
+    temporal: impl IntoIterator<Item = &'a TTerm>,
+    data: impl IntoIterator<Item = &'a DTerm>,
     opts: &FoOptions,
 ) -> Result<Tagged> {
-    let rel = db
-        .get(pred)
-        .ok_or_else(|| Error::Eval(format!("unknown relation `{pred}`")))?;
-    let schema = rel.schema();
-    if temporal.len() != schema.temporal || data.len() != schema.data {
-        return Err(Error::SchemaMismatch(format!(
-            "atom {pred} has arities ({}, {}) but the relation is {}",
-            temporal.len(),
-            data.len(),
-            schema
-        )));
-    }
-    // Column names: distinct variables in first-occurrence order.
-    let mut tvars: Vec<String> = Vec::new();
-    for t in temporal {
-        if let TTerm::Var { name, .. } = t {
-            if !tvars.contains(name) {
-                tvars.push(name.clone());
-            }
-        }
-    }
-    let mut dvars: Vec<String> = Vec::new();
-    for d in data {
-        if let DTerm::Var(name) = d {
-            if !dvars.contains(name) {
-                dvars.push(name.clone());
-            }
-        }
-    }
-    let mut out = GeneralizedRelation::empty(Schema::new(tvars.len(), dvars.len()));
-    'tuples: for tuple in rel.tuples() {
-        // Data filter / binding.
-        let mut binding: BTreeMap<&str, &DataValue> = BTreeMap::new();
-        for (pos, term) in data.iter().enumerate() {
-            let val = &tuple.data()[pos];
-            match term {
-                DTerm::Const(c) => {
-                    if c != val {
-                        continue 'tuples;
-                    }
-                }
-                DTerm::Var(v) => match binding.get(v.as_str()) {
-                    Some(b) if *b != val => continue 'tuples,
-                    _ => {
-                        binding.insert(v, val);
-                    }
-                },
-            }
-        }
-        // Temporal transfer onto the variable columns.
-        let n = tvars.len();
-        let mut lrps = vec![Lrp::all_integers(); n];
-        let mut dbm = itdb_lrp::Dbm::unconstrained(n);
-        let var_of = |p: usize| -> Option<(usize, i64)> {
-            match &temporal[p] {
-                TTerm::Var { name, offset } => {
-                    Some((tvars.iter().position(|v| v == name).expect("tvar"), *offset))
-                }
-                TTerm::Const(_) => None,
-            }
-        };
-        let mut ok = true;
-        for (pos, term) in temporal.iter().enumerate() {
-            let col = tuple.zone().lrp(pos);
-            match term {
-                TTerm::Var { offset, .. } => {
-                    let (v, _) = var_of(pos).expect("var");
-                    let shifted = col.shift(offset.checked_neg().ok_or(Error::Overflow)?)?;
-                    match lrps[v].intersect(&shifted)? {
-                        Some(meet) => lrps[v] = meet,
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                TTerm::Const(c) => {
-                    if !col.contains(*c) {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-        }
-        if !ok {
-            continue 'tuples;
-        }
-        // Transfer the tuple's difference bounds; positions map to
-        // (variable, offset) or to pinned constants.
-        for (i, j, c) in tuple.zone().dbm().finite_bounds() {
-            // Matrix index a > 0 is column a−1; encode each side as either
-            // (clause matrix index, offset) or an absolute constant.
-            enum Side {
-                Var(usize, i64),
-                Const(i64),
-            }
-            let side = |a: usize| -> Side {
-                if a == 0 {
-                    return Side::Const(0);
-                }
-                match &temporal[a - 1] {
-                    TTerm::Var { name, offset } => Side::Var(
-                        tvars.iter().position(|v| v == name).expect("tvar") + 1,
-                        *offset,
-                    ),
-                    TTerm::Const(k) => Side::Const(*k),
-                }
-            };
-            match (side(i), side(j)) {
-                (Side::Var(mi, si), Side::Var(mj, sj)) => {
-                    if mi == mj {
-                        // x_i − x_j = s_i − s_j ≤ c must hold outright.
-                        if si.saturating_sub(sj) > c {
-                            ok = false;
-                            break;
-                        }
-                    } else {
-                        dbm.add_le(mi, mj, c.saturating_sub(si).saturating_add(sj));
-                    }
-                }
-                (Side::Var(mi, si), Side::Const(k)) => {
-                    // x_i − k ≤ c with x_i = v + si.
-                    dbm.add_le(mi, 0, c.saturating_add(k).saturating_sub(si));
-                }
-                (Side::Const(k), Side::Var(mj, sj)) => {
-                    dbm.add_le(0, mj, c.saturating_sub(k).saturating_add(sj));
-                }
-                (Side::Const(k1), Side::Const(k2)) => {
-                    if k1 - k2 > c {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-        }
-        if !ok {
-            continue 'tuples;
-        }
-        let zone = Zone::from_parts(lrps, dbm)?;
-        if zone.is_empty(opts.budget)? {
-            continue;
-        }
-        let dvals: Vec<DataValue> = dvars
-            .iter()
-            .map(|v| (*binding[v.as_str()]).clone())
-            .collect();
-        out.insert(GeneralizedTuple::new(zone, dvals))?;
-    }
-    Ok(Tagged {
-        rel: out,
-        tvars,
-        dvars,
-    })
-}
-
-fn eval_cmp(lhs: &TTerm, op: CmpOp, rhs: &TTerm) -> Result<Tagged> {
-    let mut tvars: Vec<String> = Vec::new();
-    let var_idx = |t: &TTerm, tvars: &mut Vec<String>| -> Option<(usize, i64)> {
-        match t {
-            TTerm::Var { name, offset } => {
-                let i = match tvars.iter().position(|v| v == name) {
-                    Some(i) => i,
-                    None => {
-                        tvars.push(name.clone());
-                        tvars.len() - 1
-                    }
-                };
-                Some((i, *offset))
-            }
-            TTerm::Const(_) => None,
-        }
+    let mut tvars = Vec::new();
+    let mut dvars = Vec::new();
+    let pattern = AtomPattern {
+        temporal: temporal
+            .into_iter()
+            .map(|t| match t {
+                TTerm::Var { name, offset } => Slot::Var(intern(&mut tvars, name), *offset),
+                TTerm::Const(c) => Slot::Const(*c),
+            })
+            .collect(),
+        data: data
+            .into_iter()
+            .map(|d| match d {
+                DTerm::Var(v) => DataSlot::Var(intern(&mut dvars, v)),
+                DTerm::Const(c) => DataSlot::Const(c.clone()),
+            })
+            .collect(),
     };
-    let l = var_idx(lhs, &mut tvars);
-    let r = var_idx(rhs, &mut tvars);
-    let n = tvars.len();
-    let mut zone = Zone::top(n);
-    let sub = |a: i64, b: i64| a.checked_sub(b).ok_or(Error::Overflow);
-    match (l, r) {
-        (Some((v1, c1)), Some((v2, c2))) if v1 != v2 => {
-            let c = sub(c2, c1)?;
-            let constraint = match op {
-                CmpOp::Lt => Constraint::LtVar(Var(v1), Var(v2), c),
-                CmpOp::Le => Constraint::LeVar(Var(v1), Var(v2), c),
-                CmpOp::Eq => Constraint::EqVar(Var(v1), Var(v2), c),
-                CmpOp::Ge => Constraint::LeVar(Var(v2), Var(v1), sub(c1, c2)?),
-                CmpOp::Gt => Constraint::LtVar(Var(v2), Var(v1), sub(c1, c2)?),
-            };
-            zone.add_constraint(constraint)?;
-        }
-        (Some((_v1, c1)), Some((_, c2))) => {
-            // Same variable on both sides: a constant truth value.
-            let holds = cmp_holds(c1, op, c2);
-            if !holds {
-                return empty_tagged(tvars);
-            }
-        }
-        (Some((v, c1)), None) => {
-            let TTerm::Const(k) = rhs else { unreachable!() };
-            let k = sub(*k, c1)?;
-            let constraint = match op {
-                CmpOp::Lt => Constraint::LtConst(Var(v), k),
-                CmpOp::Le => Constraint::LeConst(Var(v), k),
-                CmpOp::Eq => Constraint::EqConst(Var(v), k),
-                CmpOp::Ge => Constraint::GeConst(Var(v), k),
-                CmpOp::Gt => Constraint::GtConst(Var(v), k),
-            };
-            zone.add_constraint(constraint)?;
-        }
-        (None, Some((v, c2))) => {
-            let TTerm::Const(k) = lhs else { unreachable!() };
-            let k = sub(*k, c2)?;
-            let constraint = match op {
-                CmpOp::Lt => Constraint::GtConst(Var(v), k),
-                CmpOp::Le => Constraint::GeConst(Var(v), k),
-                CmpOp::Eq => Constraint::EqConst(Var(v), k),
-                CmpOp::Ge => Constraint::LeConst(Var(v), k),
-                CmpOp::Gt => Constraint::LtConst(Var(v), k),
-            };
-            zone.add_constraint(constraint)?;
-        }
-        (None, None) => {
-            let (TTerm::Const(a), TTerm::Const(b)) = (lhs, rhs) else {
-                unreachable!()
-            };
-            if !cmp_holds(*a, op, *b) {
-                return empty_tagged(tvars);
-            }
-        }
-    }
-    let rel = GeneralizedRelation::from_tuples(
-        Schema::new(n, 0),
-        vec![GeneralizedTuple::new(zone, vec![])],
-    )?;
     Ok(Tagged {
-        rel,
-        tvars,
-        dvars: vec![],
+        rel: pattern.select(rel, opts.budget)?,
+        tvars: tvars.into_iter().map(String::from).collect(),
+        dvars: dvars.into_iter().map(String::from).collect(),
     })
 }
 
-/// `τ mod m = r`: a one-column relation whose lrp is the residue class —
-/// the \[KSW90\] periodicity constraint as a first-class query atom.
-fn eval_mod(term: &TTerm, modulus: i64, residue: i64) -> Result<Tagged> {
+/// `T1 op T2` over all pairs of time points.
+fn cmp_relation(op: CmpOp) -> Result<GeneralizedRelation> {
+    let (t1, t2) = (Var(0), Var(1));
+    let constraint = match op {
+        CmpOp::Lt => Constraint::LtVar(t1, t2, 0),
+        CmpOp::Le => Constraint::LeVar(t1, t2, 0),
+        CmpOp::Eq => Constraint::EqVar(t1, t2, 0),
+        CmpOp::Ge => Constraint::LeVar(t2, t1, 0),
+        CmpOp::Gt => Constraint::LtVar(t2, t1, 0),
+    };
+    let t = GeneralizedTuple::build(vec![Lrp::all_integers(); 2], &[constraint], vec![])?;
+    GeneralizedRelation::from_tuples(Schema::new(2, 0), vec![t])
+}
+
+/// `T1 mod m = r`: one column whose lrp is the residue class — the
+/// \[KSW90\] periodicity constraint as a first-class query atom.
+fn mod_relation(modulus: i64, residue: i64) -> Result<GeneralizedRelation> {
     if modulus < 1 {
         return Err(Error::Eval(format!(
             "modulus must be positive, got {modulus}"
         )));
     }
-    match term {
-        TTerm::Const(c) => {
-            let mut rel = GeneralizedRelation::empty(Schema::new(0, 0));
-            if c.rem_euclid(modulus) == residue.rem_euclid(modulus) {
-                rel.insert(GeneralizedTuple::new(Zone::top(0), vec![]))?;
-            }
-            Ok(Tagged {
-                rel,
-                tvars: vec![],
-                dvars: vec![],
-            })
-        }
-        TTerm::Var { name, offset } => {
-            // (v + offset) ≡ residue (mod m) ⟺ v ∈ lrp(m, residue − offset).
-            let lrp = Lrp::new(
-                modulus,
-                residue.checked_sub(*offset).ok_or(Error::Overflow)?,
-            )?;
-            let rel = GeneralizedRelation::from_tuples(
-                Schema::new(1, 0),
-                vec![GeneralizedTuple::new(Zone::new(vec![lrp]), vec![])],
-            )?;
-            Ok(Tagged {
-                rel,
-                tvars: vec![name.clone()],
-                dvars: vec![],
-            })
-        }
-    }
+    let lrp = Lrp::new(modulus, residue)?;
+    GeneralizedRelation::from_tuples(
+        Schema::new(1, 0),
+        vec![GeneralizedTuple::new(Zone::new(vec![lrp]), vec![])],
+    )
 }
 
-fn empty_tagged(tvars: Vec<String>) -> Result<Tagged> {
-    Ok(Tagged {
-        rel: GeneralizedRelation::empty(Schema::new(tvars.len(), 0)),
-        tvars,
-        dvars: vec![],
-    })
-}
-
-fn cmp_holds(a: i64, op: CmpOp, b: i64) -> bool {
-    match op {
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Eq => a == b,
-        CmpOp::Ge => a >= b,
-        CmpOp::Gt => a > b,
-    }
-}
-
-fn eval_data_eq(a: &DTerm, b: &DTerm, domain: &[DataValue]) -> Result<Tagged> {
-    match (a, b) {
-        (DTerm::Const(x), DTerm::Const(y)) => {
-            let mut rel = GeneralizedRelation::empty(Schema::new(0, 0));
-            if x == y {
-                rel.insert(GeneralizedTuple::new(Zone::top(0), vec![]))?;
-            }
-            Ok(Tagged {
-                rel,
-                tvars: vec![],
-                dvars: vec![],
-            })
-        }
-        (DTerm::Var(v), DTerm::Const(c)) | (DTerm::Const(c), DTerm::Var(v)) => {
-            let rel = GeneralizedRelation::from_tuples(
-                Schema::new(0, 1),
-                vec![GeneralizedTuple::new(Zone::top(0), vec![c.clone()])],
-            )?;
-            Ok(Tagged {
-                rel,
-                tvars: vec![],
-                dvars: vec![v.clone()],
-            })
-        }
-        (DTerm::Var(v1), DTerm::Var(v2)) if v1 == v2 => {
-            // x = x: the universe over one data column.
-            let mut rel = GeneralizedRelation::empty(Schema::new(0, 1));
-            for d in domain {
-                rel.insert(GeneralizedTuple::new(Zone::top(0), vec![d.clone()]))?;
-            }
-            Ok(Tagged {
-                rel,
-                tvars: vec![],
-                dvars: vec![v1.clone()],
-            })
-        }
-        (DTerm::Var(v1), DTerm::Var(v2)) => {
-            let mut rel = GeneralizedRelation::empty(Schema::new(0, 2));
-            for d in domain {
-                rel.insert(GeneralizedTuple::new(
-                    Zone::top(0),
-                    vec![d.clone(), d.clone()],
-                ))?;
-            }
-            Ok(Tagged {
-                rel,
-                tvars: vec![],
-                dvars: vec![v1.clone(), v2.clone()],
-            })
-        }
-    }
+/// `X = Y` over the active domain: one tuple `(d, d)` per value.
+fn eq_relation(domain: &[DataValue]) -> Result<GeneralizedRelation> {
+    let tuples = domain
+        .iter()
+        .map(|d| GeneralizedTuple::new(Zone::top(0), vec![d.clone(), d.clone()]))
+        .collect();
+    GeneralizedRelation::from_tuples(Schema::new(0, 2), tuples)
 }
 
 /// Checks the variable-sort convention: quantified variable lists may mix
@@ -717,6 +446,7 @@ pub fn sorts_of(vars: &[String]) -> (Vec<&String>, Vec<&String>) {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::parser::parse_formula;

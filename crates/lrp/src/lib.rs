@@ -17,7 +17,10 @@
 //! * [`GeneralizedRelation`] — a set of generalized tuples, the paper's
 //!   finite representation of an infinite temporal relation;
 //! * [`algebra`] — selection, projection, join, union, intersection,
-//!   difference, complement, shift.
+//!   difference, complement, shift;
+//! * [`pattern`] — the atom kernel: an atom pattern matched against
+//!   generalized tuples, shared by the engine's clause bodies, goal
+//!   queries and first-order atoms.
 
 #![warn(missing_docs)]
 
@@ -30,6 +33,7 @@ mod error;
 pub mod governor;
 mod lrp;
 pub mod parser;
+pub mod pattern;
 mod relation;
 pub mod stats;
 mod tuple;

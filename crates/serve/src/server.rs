@@ -65,6 +65,12 @@
 //! model, and every answer carries that status until restart; the read
 //! that tripped captures the `governor_trip` flight dump.
 //!
+//! The lookup is the atom kernel (`itdb_lrp::pattern`) through
+//! [`itdb_core::query`]: a pattern whose data terms are all constants
+//! scans only that data vector's index bucket. The whole lookup runs under
+//! the request's id, so its `index_lookup` events, and a first read's
+//! materialisation, carry the id.
+//!
 //! Graceful shutdown: cancelling the token stops the acceptor, closes the
 //! queue, and lets workers finish their in-flight requests.
 
@@ -915,7 +921,12 @@ fn serve_query(
     // or without it.
     let started = Instant::now();
     itdb_trace::set_profiling(true);
-    let result = answer(ctx, pattern, request_id);
+    let result = {
+        // The read's trace context: the lookup's `index_lookup` events and
+        // a first read's materialisation carry the request id.
+        let _ctx = itdb_trace::context::set_request_id(request_id);
+        answer(ctx, pattern)
+    };
     itdb_trace::set_profiling(false);
     let profile = itdb_trace::take_profile();
     let elapsed = started.elapsed();
@@ -973,16 +984,12 @@ fn serve_query(
 /// the service's once-built model without one. The `bool` is true when
 /// this read materialised that model. With a WAL the response is built
 /// from the published model version, with no lock held.
-fn answer(
-    ctx: &WorkerCtx,
-    pattern: &str,
-    request_id: &str,
-) -> itdb_lrp::Result<(QueryResponse, bool)> {
+fn answer(ctx: &WorkerCtx, pattern: &str) -> itdb_lrp::Result<(QueryResponse, bool)> {
     let atom = parse_atom(pattern)?;
     match &ctx.ingest {
         Some(ingest) => Ok((ingest.with_model(|m| m.answer(&atom))?, false)),
         None => {
-            let (model, materialised) = ctx.service.model(Some(request_id))?;
+            let (model, materialised) = ctx.service.model()?;
             Ok((model.answer(&atom)?, materialised))
         }
     }

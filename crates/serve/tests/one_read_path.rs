@@ -95,7 +95,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 #[test]
 fn convergent_lookups_match_per_request_evaluation_without_a_wal() {
     let service = Service::new(workload(CONVERGENT), ServiceDefaults::default());
-    let (model, materialised) = service.model(None).unwrap();
+    let (model, materialised) = service.model().unwrap();
     assert!(materialised);
     let status = assert_matches_oracle(model, &service, &["problems[t, t + 2](database)"]);
     assert_eq!(status, QueryStatus::Complete);
@@ -121,7 +121,7 @@ fn convergent_lookups_match_per_request_evaluation_with_a_wal() {
 #[test]
 fn diverging_workload_answers_diverged_at_the_default_budget() {
     let service = Service::new(workload(DIVERGING), ServiceDefaults::default());
-    let (model, _) = service.model(None).unwrap();
+    let (model, _) = service.model().unwrap();
     assert_eq!(
         assert_matches_oracle(model, &service, &[]),
         QueryStatus::Diverged
@@ -135,7 +135,7 @@ fn starved_server_budget_answers_interrupted_with_a_partial_model() {
         timeout: None,
     };
     let service = Service::new(workload(DIVERGING), starved);
-    let (model, _) = service.model(None).unwrap();
+    let (model, _) = service.model().unwrap();
     let status = assert_matches_oracle(model, &service, &[]);
     assert!(matches!(status, QueryStatus::Interrupted(_)), "{status:?}");
     let p = model.answer(&parse_atom("p[t]").unwrap()).unwrap();

@@ -510,8 +510,18 @@ fn request_ids_are_minted_echoed_and_stamped_on_events() {
         "{a}"
     );
 
+    // A data-constant pattern narrows its lookup to one index bucket; the
+    // lookup's `index_lookup` event carries the id of the read.
+    let narrowed = exchange(
+        ts.addr,
+        "POST /query HTTP/1.1\r\nHost: t\r\nX-Itdb-Request-Id: lookup-id-9\r\n\
+         Content-Length: 24\r\n\r\ncourse[t1, t2](database)",
+    );
+    assert_eq!(status_of(&narrowed), 200, "{narrowed}");
+    assert!(body_of(&narrowed).contains("\"answers\":[\""), "{narrowed}");
+
     // Every evaluation event on the stream is stamped with some request
-    // id, and the explicit client id shows up on its request's events.
+    // id, and the explicit client ids show up on their requests' events.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let lines = captured.lock().unwrap().clone();
@@ -519,9 +529,16 @@ fn request_ids_are_minted_echoed_and_stamped_on_events() {
         let has_client_id = events
             .iter()
             .any(|l| l.contains("\"request_id\":\"client-id-7\""));
-        if (has_client_id && events.len() >= 3) || Instant::now() > deadline {
+        let has_lookup_id = events.iter().any(|l| {
+            l.contains("\"event\":\"index_lookup\"") && l.contains("\"request_id\":\"lookup-id-9\"")
+        });
+        if (has_client_id && has_lookup_id && events.len() >= 3) || Instant::now() > deadline {
             assert!(!events.is_empty(), "no events captured");
             assert!(has_client_id, "client id missing from events: {events:#?}");
+            assert!(
+                has_lookup_id,
+                "narrowed lookup's index_lookup event missing or unstamped: {events:#?}"
+            );
             for e in &events {
                 assert!(
                     e.contains("\"request_id\":\""),
