@@ -303,7 +303,7 @@ pub struct ResidentImage<'a> {
     /// birth? `false` for images without a provenance section.
     pub(crate) provenance_complete: bool,
     /// The derivation log, in insertion order.
-    pub(crate) derivations: Cow<'a, [Derivation]>,
+    pub(crate) derivations: Cow<'a, [Arc<Derivation>]>,
 }
 
 /// The result of [`load_latest_with`]: the newest image that both the
@@ -521,7 +521,10 @@ fn get_relations(
     Ok(rels)
 }
 
-fn put_derivations(w: &mut ByteWriter, derivations: &[Derivation]) {
+fn put_derivations<'d>(
+    w: &mut ByteWriter,
+    derivations: impl ExactSizeIterator<Item = &'d Derivation>,
+) {
     w.put_usize(derivations.len());
     for d in derivations {
         w.put_str(&d.pred);
@@ -613,7 +616,7 @@ impl Checkpoint {
         ];
         if !self.derivations.is_empty() {
             let mut log = ByteWriter::new();
-            put_derivations(&mut log, &self.derivations);
+            put_derivations(&mut log, self.derivations.iter());
             sections.push(Section::new(SEC_DERIVATIONS, log.into_bytes()));
         }
         sections
@@ -732,7 +735,7 @@ impl ResidentImage<'_> {
         meta.put_u64(self.applied_seq);
         let mut prov = ByteWriter::new();
         prov.put_bool(self.provenance_complete);
-        put_derivations(&mut prov, &self.derivations);
+        put_derivations(&mut prov, self.derivations.iter().map(|d| &**d));
         vec![
             Section::new(SEC_RES_META, meta.into_bytes()),
             relations_section(SEC_RES_EDB, &self.edb),
@@ -768,7 +771,7 @@ impl ResidentImage<'static> {
             edb: Cow::Owned(edb),
             idb: Cow::Owned(idb),
             provenance_complete,
-            derivations: Cow::Owned(derivations),
+            derivations: Cow::Owned(derivations.into_iter().map(Arc::new).collect()),
         })
     }
 }

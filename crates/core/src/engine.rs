@@ -614,7 +614,7 @@ fn evaluate_governed_impl(
         governor,
         hashes,
     };
-    let outcome = fixpoint.run(&mut idb, &mut st, None, None, cursor)?;
+    let outcome = fixpoint.run(&mut idb, &mut st, FirstPass::Naive, None, cursor)?;
 
     if opts.coalesce && !matches!(outcome, EvalOutcome::Interrupted(_)) {
         for rel in idb.values_mut() {
@@ -655,9 +655,21 @@ pub(crate) fn rule_labels(program: &Program) -> Vec<String> {
         .collect()
 }
 
-/// The free-extension key of a tuple: canonical lrp vector plus data
-/// (Theorem 4.2 bookkeeping).
-type FeKey = (Vec<Lrp>, Vec<DataValue>);
+/// How each stratum's first iteration of a [`Fixpoint`] run fires; every
+/// later iteration is semi-naive over the stratum's own inserts.
+pub(crate) enum FirstPass<'g> {
+    /// Every clause fires against the full relations.
+    Naive,
+    /// Semi-naive over the body positions whose predicates the seed holds
+    /// (insert propagation). The stratum's inserts are folded into the
+    /// seed for the strata above.
+    Seeded(BTreeMap<String, GeneralizedRelation>),
+    /// The DRed re-derive: a clause fires, against the full relations,
+    /// only once per over-deleted tuple of its head predicate, with its
+    /// head unified with that tuple. Clauses whose head lost nothing do
+    /// not fire.
+    Guarded(&'g BTreeMap<String, Vec<GeneralizedTuple>>),
+}
 
 /// The stratified semi-naive loop of `T_GP`, with the free-extension grace
 /// rule, every governor budget, per-tuple trace events, provenance and
@@ -720,20 +732,18 @@ impl Fixpoint<'_> {
     /// as stable inputs; negated atoms always refer to stable inputs
     /// (stratified), so their subtraction semantics is exact.
     ///
-    /// - `seed = None`: each stratum's first iteration is naive — every
-    ///   clause fires against the full relations.
-    /// - `seed = Some(delta)`: each stratum's first iteration is
-    ///   semi-naive over the body positions whose predicates `delta`
-    ///   holds, and the stratum's inserts are folded into `delta` for the
-    ///   strata above.
+    /// - `first`: how each stratum's first iteration fires (see
+    ///   [`FirstPass`]).
     /// - `only`: fire only clauses whose head it contains, and skip the
     ///   strata left without any.
     /// - `resume`: skip the strata below the cursor and re-enter its
     ///   stratum mid-way.
     ///
-    /// The free-extension key sets are built from `idb` as each stratum
-    /// starts: relations only grow within a run, so those keys are exactly
-    /// the ones seen so far. A governor trip or divergence returns its
+    /// An insert adds a free extension when no other tuple of its relation
+    /// has its key: relations only grow within a run, so the relation's
+    /// index bucket holds exactly the keys seen so far, and no key set is
+    /// built up front (maintenance stays proportional to what it derives,
+    /// not to the model). A governor trip or divergence returns its
     /// outcome with `idb` holding the last completed iteration (plus, for
     /// a trip mid-insert, that iteration's partial inserts) — every tuple
     /// genuinely derived.
@@ -741,7 +751,7 @@ impl Fixpoint<'_> {
         &self,
         idb: &mut BTreeMap<String, GeneralizedRelation>,
         st: &mut RunState,
-        mut seed: Option<BTreeMap<String, GeneralizedRelation>>,
+        mut first: FirstPass<'_>,
         only: Option<&BTreeSet<String>>,
         mut resume: Option<Cursor>,
     ) -> Result<EvalOutcome> {
@@ -785,18 +795,6 @@ impl Fixpoint<'_> {
                 });
             }
             let stratum_preds: Vec<&str> = stratum.iter().map(|s| s.as_str()).collect();
-            let mut fe_keys: BTreeMap<&str, BTreeSet<FeKey>> = stratum_preds
-                .iter()
-                .map(|&p| {
-                    let keys = idb.get(p).map_or_else(BTreeSet::new, |rel| {
-                        rel.tuples()
-                            .iter()
-                            .map(|t| t.free_extension_key())
-                            .collect()
-                    });
-                    (p, keys)
-                })
-                .collect();
             let mut fe_safe_streak = 0usize;
             let mut stratum_iter = 0usize;
             let mut delta: BTreeMap<String, GeneralizedRelation> = BTreeMap::new();
@@ -807,7 +805,7 @@ impl Fixpoint<'_> {
                     delta = c.delta;
                 }
             }
-            if let Some(s) = &seed {
+            if let FirstPass::Seeded(s) = &first {
                 delta = s.clone();
             }
 
@@ -841,9 +839,14 @@ impl Fixpoint<'_> {
                     format!("iteration {iteration}")
                 });
                 // A seeded stratum fires its first iteration from the seed's
-                // predicates; every later semi-naive pass from the stratum's
-                // own previous inserts.
-                let seeded_first = seed.is_some() && stratum_iter == 1;
+                // predicates, a guarded one from its over-deleted tuples;
+                // every later semi-naive pass from the stratum's own
+                // previous inserts.
+                let seeded_first = matches!(first, FirstPass::Seeded(_)) && stratum_iter == 1;
+                let guard = match &first {
+                    FirstPass::Guarded(dead) if stratum_iter == 1 => Some(*dead),
+                    _ => None,
+                };
                 let delta_preds: Vec<&str> = if seeded_first {
                     delta.keys().map(|p| p.as_str()).collect()
                 } else {
@@ -854,6 +857,7 @@ impl Fixpoint<'_> {
                     delta_preds: &delta_preds,
                     idb,
                     delta: &delta,
+                    guard,
                     edb: self.edb,
                     empty: &empty_relations,
                     info: self.info,
@@ -943,9 +947,14 @@ impl Fixpoint<'_> {
                                     sources,
                                 });
                             }
-                            if fe_keys
-                                .get_mut(pred.as_str())
-                                .is_some_and(|keys| keys.insert(tuple.free_extension_key()))
+                            // A free extension is new when no other tuple
+                            // of the relation has the tuple's key: its data
+                            // (so its index bucket) and its lrp vector.
+                            if rel
+                                .bucket(tuple.data())
+                                .filter(|t| t.zone().lrps() == tuple.zone().lrps())
+                                .count()
+                                == 1
                             {
                                 new_fe_key = true;
                             }
@@ -1047,7 +1056,7 @@ impl Fixpoint<'_> {
                         iterations: iteration,
                     });
                 }
-                if let Some(acc) = &mut seed {
+                if let FirstPass::Seeded(acc) = &mut first {
                     for (pred, rel) in &next_delta {
                         let acc_rel = acc
                             .entry(pred.clone())
@@ -1183,6 +1192,9 @@ struct DeriveCtx<'a> {
     idb: &'a BTreeMap<String, GeneralizedRelation>,
     /// Semi-naive delta frontier.
     delta: &'a BTreeMap<String, GeneralizedRelation>,
+    /// On a guarded pass ([`FirstPass::Guarded`]), the over-deleted tuples
+    /// per head predicate.
+    guard: Option<&'a BTreeMap<String, Vec<GeneralizedTuple>>>,
     /// The extensional database.
     edb: &'a Database,
     /// Empty relation per predicate (missing-relation fallback).
@@ -1252,6 +1264,30 @@ fn derive_sequential(ctx: &DeriveCtx<'_>) -> Result<Vec<Pending>> {
                 .unwrap_or_else(|| format!("r{}", clause.idx))
         });
         let neg_rels = ctx.neg_rels(clause);
+        let mut emit = |t, sources| {
+            derived.push(Pending {
+                pred: clause.head_pred.clone(),
+                rule: clause.idx,
+                tuple: t,
+                sources,
+            })
+        };
+        if let Some(dead) = ctx.guard {
+            let rel_for = |i: usize| -> &GeneralizedRelation { ctx.rel_for(clause, None, i) };
+            for head in dead.get(&clause.head_pred).into_iter().flatten() {
+                eval_clause(
+                    clause,
+                    Some(head),
+                    &rel_for,
+                    &neg_rels,
+                    ctx.residue_budget,
+                    ctx.use_index,
+                    ctx.collect_sources,
+                    &mut emit,
+                )?;
+            }
+            continue;
+        }
         let dposes: Vec<Option<usize>> = if ctx.seminaive_pass {
             // Stable-input-only clauses yield no positions: they cannot
             // fire anew.
@@ -1267,19 +1303,13 @@ fn derive_sequential(ctx: &DeriveCtx<'_>) -> Result<Vec<Pending>> {
             let rel_for = |i: usize| -> &GeneralizedRelation { ctx.rel_for(clause, dpos, i) };
             eval_clause(
                 clause,
+                None,
                 &rel_for,
                 &neg_rels,
                 ctx.residue_budget,
                 ctx.use_index,
                 ctx.collect_sources,
-                &mut |t, sources| {
-                    derived.push(Pending {
-                        pred: clause.head_pred.clone(),
-                        rule: clause.idx,
-                        tuple: t,
-                        sources,
-                    })
-                },
+                &mut emit,
             )?;
         }
     }
@@ -1299,8 +1329,16 @@ struct Pending {
 /// tuples through `emit`. When `collect_sources` is set, each emission
 /// carries the positive body facts matched on the DFS path that produced
 /// it (cloned); otherwise the source list is empty.
+///
+/// A `guard` tuple confines the head to its points before the body is
+/// matched: its data binds the head's data variables (so the body atoms
+/// narrow to that data's index buckets) and its zone is transferred onto
+/// the head's temporal variables. The guard only restricts the match; it
+/// is never one of the emission's sources.
+#[allow(clippy::too_many_arguments)]
 fn eval_clause<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
     clause: &'a NormClause,
+    guard: Option<&GeneralizedTuple>,
     rel_for: &F,
     neg_rels: &[&GeneralizedRelation],
     budget: u64,
@@ -1315,6 +1353,22 @@ fn eval_clause<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
         binding: HashMap::new(),
         matched: Vec::new(),
     };
+    if let Some(head) = guard {
+        if !unify_data(
+            &clause.head_data,
+            head.data(),
+            &mut state.binding,
+            &mut Vec::new(),
+        ) {
+            return Ok(());
+        }
+        let slots: Vec<(usize, i64)> = clause.head_tvars.iter().map(|&v| (v, 0)).collect();
+        if !pattern::transfer(&slots, head.zone(), &mut state.lrps, &mut state.dbm)?
+            || !state.dbm.is_satisfiable()
+        {
+            return Ok(());
+        }
+    }
     dfs(
         clause,
         rel_for,
@@ -1394,27 +1448,14 @@ fn dfs<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
         let saved_dbm = state.dbm.clone();
         let mut bound_here: Vec<String> = Vec::new();
 
-        // Data unification.
-        for (pos, term) in atom.data.iter().enumerate() {
-            let val = &tuple.data()[pos];
-            match term {
-                DataTerm::Const(c) => {
-                    if c != val {
-                        continue 'tuples;
-                    }
-                }
-                DataTerm::Var(v) => match state.binding.get(v) {
-                    Some(b) if b != val => {
-                        undo(state, saved_lrps.clone(), saved_dbm.clone(), &bound_here);
-                        continue 'tuples;
-                    }
-                    Some(_) => {}
-                    None => {
-                        state.binding.insert(v.clone(), val.clone());
-                        bound_here.push(v.clone());
-                    }
-                },
-            }
+        if !unify_data(
+            &atom.data,
+            tuple.data(),
+            &mut state.binding,
+            &mut bound_here,
+        ) {
+            undo(state, saved_lrps, saved_dbm, &bound_here);
+            continue 'tuples;
         }
 
         // Temporal join: intersect lrps and import the tuple's constraints.
@@ -1451,6 +1492,33 @@ fn dfs<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
         undo(state, saved_lrps, saved_dbm, &bound_here);
     }
     Ok(())
+}
+
+/// Unifies data terms with a tuple's data under `binding`: constants must
+/// match, bound variables must agree, and free variables are bound, each
+/// recorded in `bound` so the caller can undo them. On `false` some of
+/// `bound` may already be bound; the caller undoes them.
+fn unify_data(
+    terms: &[DataTerm],
+    values: &[DataValue],
+    binding: &mut HashMap<String, DataValue>,
+    bound: &mut Vec<String>,
+) -> bool {
+    for (term, val) in terms.iter().zip(values) {
+        match term {
+            DataTerm::Const(c) if c != val => return false,
+            DataTerm::Const(_) => {}
+            DataTerm::Var(v) => match binding.get(v) {
+                Some(b) if b != val => return false,
+                Some(_) => {}
+                None => {
+                    binding.insert(v.clone(), val.clone());
+                    bound.push(v.clone());
+                }
+            },
+        }
+    }
+    true
 }
 
 fn undo(state: &mut MatchState<'_>, lrps: Vec<Lrp>, dbm: Dbm, bound_here: &[String]) {
@@ -1813,6 +1881,20 @@ mod tests {
         assert!(r.contains(&[32], &[DataValue::sym("alpha")]));
         assert!(r.contains(&[54], &[DataValue::sym("beta")]));
         assert!(!r.contains(&[32], &[DataValue::sym("beta")]));
+    }
+
+    /// A constant after a variable in one body atom: a tuple that binds
+    /// the variable and then fails the constant must not leave the
+    /// binding behind for the next tuple.
+    #[test]
+    fn constant_mismatch_after_a_variable_unbinds_it() {
+        let prog = parse_program("q[t](X) <- p[t](X, a).").unwrap();
+        let mut db = Database::new();
+        db.insert_parsed("p", "(n; x1, b)\n(n; x2, a)").unwrap();
+        let ev = evaluate(&prog, &db).unwrap();
+        let q = ev.relation("q").unwrap();
+        assert!(q.contains(&[0], &[DataValue::sym("x2")]), "{q}");
+        assert!(!q.contains(&[0], &[DataValue::sym("x1")]), "{q}");
     }
 
     #[test]

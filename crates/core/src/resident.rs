@@ -34,11 +34,24 @@
 //!    derivation transitively touches a removed tuple is deleted (the
 //!    provenance cone, when complete provenance is available), or every
 //!    tuple of every affected intensional predicate (the per-stratum
-//!    wipe fallback). The engine's loop then re-derives, unseeded and
-//!    restricted to the clauses whose heads are affected, per affected
-//!    stratum bottom-up, everything with a surviving alternative
-//!    derivation. Both modes start the re-derive from a *subset* of the
-//!    true fixpoint, so convergence lands exactly on it.
+//!    wipe fallback). The engine's loop then re-derives, restricted to
+//!    the clauses whose heads are affected, per affected stratum
+//!    bottom-up, everything with a surviving alternative derivation.
+//!    After a wipe, each stratum's first iteration fires every affected
+//!    clause. After a cone over-delete it is *guarded* (Gupta–Mumick–
+//!    Subrahmanian's re-derive step, on generalized tuples): a clause
+//!    fires only once per over-deleted tuple of its head predicate, with
+//!    its head unified with that tuple, so the body match narrows to the
+//!    lost tuples' data buckets and costs the cone, not the model; the
+//!    stratum then continues semi-naively from what came back. That is
+//!    complete because, without negation, the new model lies inside the
+//!    old one: whatever it holds beyond the survivors lies inside some
+//!    over-deleted tuple. A batch's asserts propagate (invariant 1)
+//!    *before* the over-delete, from the pre-retraction model, so
+//!    everything they derive is in the derivation log and falls in the
+//!    cone when it leans on a retracted tuple. Both modes start the
+//!    re-derive from a *subset* of the true fixpoint, so convergence lands
+//!    exactly on it.
 //! 3. **Negation constrains the over-delete mode.** Retraction can
 //!    *grow* a predicate defined through negation, and recorded positive
 //!    sources cannot witness negation-dependent invalidation — so the
@@ -51,7 +64,14 @@
 //!    folded into a strictly broader stored tuple is **not** carved
 //!    out — the generalized relation is the unit of storage, exactly as
 //!    in the paper's closed representation. Callers that need carve-out
-//!    must ingest at the granularity they intend to retract.
+//!    must ingest at the granularity they intend to retract. The same
+//!    holds for what the guarded re-derive puts back: the part of each
+//!    derivation inside each over-deleted tuple, so a maintained relation
+//!    can be cut into other pieces than a full re-evaluation's while
+//!    denoting the same set. The guard tuple only confines the head: it
+//!    is never recorded as a source of what comes back. It is no longer
+//!    in the model and supported nothing, and a later retraction's cone,
+//!    walked through recorded sources, must follow real support only.
 //! 5. **Failed batches never publish; the model never wedges.** Every
 //!    batch runs under a fresh governor built from the model's options,
 //!    so every budget — iterations, tuple fuel, deadline, memory ceiling,
@@ -94,7 +114,7 @@ use crate::checkpoint::{hash_program, ResidentImage};
 use crate::db::Database;
 use crate::engine::{
     evaluate_governed, evaluate_with, rule_labels, Derivation, EvalOptions, EvalOutcome, EvalStats,
-    Evaluation, Fixpoint, RunState,
+    Evaluation, FirstPass, Fixpoint, RunState,
 };
 use crate::normalize::{normalize_program, NormClause};
 use crate::service::{QueryResponse, QueryStatus};
@@ -200,6 +220,9 @@ pub struct ApplyOutcome {
     pub retract_noops: u64,
     /// IDB tuples inserted by insert-only delta propagation.
     pub derived_inserted: u64,
+    /// Candidate IDB tuples the maintenance runs derived, before the
+    /// subsumption insert (zero for a full re-evaluation).
+    pub derived: u64,
     /// IDB tuples removed by the DRed over-delete phase.
     pub overdeleted: u64,
     /// IDB tuples re-inserted by the DRed re-derive phase.
@@ -277,8 +300,9 @@ pub struct ResidentModel {
     stats: ResidentStats,
     /// Insertion-ordered derivation log (every source of a derivation
     /// precedes it): the provenance cone DRed consults. Complete only
-    /// while [`Self::provenance_complete`] holds.
-    derivations: Vec<Derivation>,
+    /// while [`Self::provenance_complete`] holds. Records never change
+    /// once logged, so model versions share them.
+    derivations: Vec<Arc<Derivation>>,
     /// True when `derivations` records every IDB insertion since the
     /// model's birth (provenance on, coalesce off, and no restore from a
     /// provenance-free snapshot) — the precondition for cone-mode DRed.
@@ -305,7 +329,8 @@ impl ResidentModel {
         eval: Evaluation,
     ) -> Result<Self> {
         let status = QueryStatus::from(&eval.outcome);
-        Self::assemble(program, edb, eval.idb, opts, eval.derivations, true, status)
+        let derivations = eval.derivations.into_iter().map(Arc::new).collect();
+        Self::assemble(program, edb, eval.idb, opts, derivations, true, status)
     }
 
     fn assemble(
@@ -313,7 +338,7 @@ impl ResidentModel {
         edb: Database,
         idb: BTreeMap<String, GeneralizedRelation>,
         opts: EvalOptions,
-        derivations: Vec<Derivation>,
+        derivations: Vec<Arc<Derivation>>,
         provenance_flag: bool,
         status: QueryStatus,
     ) -> Result<Self> {
@@ -382,7 +407,7 @@ impl ResidentModel {
 
     /// The insertion-ordered derivation log (empty unless provenance
     /// recording is on).
-    pub fn derivations(&self) -> &[Derivation] {
+    pub fn derivations(&self) -> &[Arc<Derivation>] {
         &self.derivations
     }
 
@@ -581,13 +606,36 @@ impl ResidentModel {
         if !changed.is_empty() && touches_idb {
             // Every budget of the options applies to this batch alone.
             let governor = Governor::new(self.opts.governor_config());
-            if force_full || (retract_seed.is_empty() && self.negation_over(&affected)) {
+            let negation = self.negation_over(&affected);
+            if force_full || (retract_seed.is_empty() && negation) {
                 self.recover_full(&governor, &mut out)?;
             } else if retract_seed.is_empty() {
-                self.maintain(&governor, Some(insert_delta), &affected, &mut out)?;
+                self.maintain(
+                    &governor,
+                    FirstPass::Seeded(insert_delta),
+                    &affected,
+                    &mut out,
+                )?;
+            } else if self.provenance_complete && !negation {
+                // Cone DRed. The asserts propagate first, from the
+                // pre-retraction model, so whatever they derive is logged
+                // and falls in the cone when it leans on a retracted
+                // tuple; the guarded re-derive then only has to look inside
+                // the over-deleted tuples.
+                out.dred_cone = true;
+                if !insert_delta.is_empty() {
+                    self.maintain(
+                        &governor,
+                        FirstPass::Seeded(insert_delta),
+                        &affected,
+                        &mut out,
+                    )?;
+                }
+                let dead = self.over_delete_cone(&retract_seed, &affected, &mut out);
+                self.maintain(&governor, FirstPass::Guarded(&dead), &affected, &mut out)?;
             } else {
-                out.dred_cone = self.over_delete(&retract_seed, &affected, &mut out);
-                self.maintain(&governor, None, &affected, &mut out)?;
+                self.wipe(&affected, &mut out);
+                self.maintain(&governor, FirstPass::Naive, &affected, &mut out)?;
             }
         }
 
@@ -681,94 +729,101 @@ impl ResidentModel {
         Ok(())
     }
 
-    /// DRed phase 1: over-delete. Returns `true` when the provenance
-    /// cone was used, `false` for the per-stratum wipe fallback.
-    fn over_delete(
+    /// DRed phase 1 with complete provenance: removes the provenance cone
+    /// of the retracted EDB tuples from the IDB and drops every derivation
+    /// record it kills. Returns the removed tuples per predicate, in
+    /// storage order: the guard of the re-derive.
+    fn over_delete_cone(
         &mut self,
         retract_seed: &BTreeMap<String, Vec<GeneralizedTuple>>,
         affected: &BTreeSet<String>,
         out: &mut ApplyOutcome,
-    ) -> bool {
-        let cone = self.provenance_complete && !self.negation_over(affected);
-        if cone {
-            // Dead-set fixpoint in one forward pass: the derivation log
-            // is insertion-ordered (sources precede heads), so a single
-            // sweep computes the transitive cone of the retracted EDB
-            // tuples.
-            let mut dead: BTreeMap<String, HashSet<GeneralizedTuple>> = BTreeMap::new();
-            for (pred, tuples) in retract_seed {
-                dead.entry(pred.clone())
-                    .or_default()
-                    .extend(tuples.iter().cloned());
-            }
-            for d in &self.derivations {
-                let head_dead = dead.get(&d.pred).is_some_and(|s| s.contains(&d.tuple));
-                let src_dead = d
-                    .sources
-                    .iter()
-                    .any(|(p, t)| dead.get(p).is_some_and(|s| s.contains(t)));
-                if !head_dead && src_dead {
+    ) -> BTreeMap<String, Vec<GeneralizedTuple>> {
+        // Dead-set fixpoint in one forward pass: the derivation log is
+        // insertion-ordered (sources precede heads), so a single sweep
+        // computes the transitive cone of the retracted EDB tuples.
+        let mut dead: BTreeMap<String, HashSet<GeneralizedTuple>> = BTreeMap::new();
+        for (pred, tuples) in retract_seed {
+            dead.entry(pred.clone())
+                .or_default()
+                .extend(tuples.iter().cloned());
+        }
+        // A record dies with its head or with any of its sources.
+        let killed: Vec<bool> = self
+            .derivations
+            .iter()
+            .map(|d| {
+                let is_dead = |p: &String, t| dead.get(p).is_some_and(|s| s.contains(t));
+                if is_dead(&d.pred, &d.tuple) {
+                    return true;
+                }
+                let src_dead = d.sources.iter().any(|(p, t)| is_dead(p, t));
+                if src_dead {
                     dead.entry(d.pred.clone())
                         .or_default()
                         .insert(d.tuple.clone());
                 }
+                src_dead
+            })
+            .collect();
+        let mut removed = BTreeMap::new();
+        for pred in affected {
+            if !self.info.intensional.contains(pred) {
+                continue;
             }
-            for pred in affected {
-                if !self.info.intensional.contains(pred) {
-                    continue;
-                }
-                let Some(set) = dead.get(pred) else { continue };
-                if set.is_empty() {
-                    continue;
-                }
-                if let Some(rel) = self.idb.get_mut(pred) {
-                    let removed = rel.remove_where(|t| !set.contains(t));
-                    out.overdeleted += removed.len() as u64;
-                }
+            let Some(set) = dead.get(pred).filter(|s| !s.is_empty()) else {
+                continue;
+            };
+            if let Some(rel) = self.idb.get_mut(pred) {
+                let gone = rel.remove_where(|t| !set.contains(t));
+                out.overdeleted += gone.len() as u64;
+                removed.insert(pred.clone(), gone);
             }
-            // Drop every derivation record killed by the over-delete; the
-            // re-derive pass records fresh ones for survivors it re-fires.
-            self.derivations.retain(|d| {
-                !(dead.get(&d.pred).is_some_and(|s| s.contains(&d.tuple))
-                    || d.sources
-                        .iter()
-                        .any(|(p, t)| dead.get(p).is_some_and(|s| s.contains(t))))
-            });
-        } else {
-            // Wipe fallback: clear every affected intensional relation
-            // and its derivation records; sound under stratified negation
-            // because re-derivation runs bottom-up per stratum.
-            for pred in affected {
-                if !self.info.intensional.contains(pred) {
-                    continue;
-                }
-                if let Some(rel) = self.idb.get_mut(pred) {
-                    out.overdeleted += rel.tuples().len() as u64;
-                    *rel = GeneralizedRelation::empty(rel.schema());
-                }
-            }
-            self.derivations.retain(|d| !affected.contains(&d.pred));
         }
-        cone
+        // Drop every derivation record killed by the over-delete; the
+        // re-derive pass records fresh ones for the tuples it re-inserts.
+        let mut killed = killed.into_iter();
+        self.derivations.retain(|_| !killed.next().unwrap_or(false));
+        removed
+    }
+
+    /// DRed phase 1 without a usable cone: clears every affected
+    /// intensional relation and its derivation records. Sound under
+    /// stratified negation because re-derivation runs bottom-up per
+    /// stratum.
+    fn wipe(&mut self, affected: &BTreeSet<String>, out: &mut ApplyOutcome) {
+        for pred in affected {
+            if !self.info.intensional.contains(pred) {
+                continue;
+            }
+            if let Some(rel) = self.idb.get_mut(pred) {
+                out.overdeleted += rel.tuples().len() as u64;
+                *rel = GeneralizedRelation::empty(rel.schema());
+            }
+        }
+        self.derivations.retain(|d| !affected.contains(&d.pred));
     }
 
     /// Re-enters the engine's semi-naive loop ([`Fixpoint`]) over the
     /// affected strata, on the maintained IDB and under the batch's
     /// governor. Insert propagation passes the batch's EDB delta as the
-    /// seed; the DRed re-derive passes none, so each affected stratum's
-    /// first iteration fires its affected clauses fully against the
-    /// post-over-delete relations. Either way the run starts from a subset
-    /// of the new fixpoint and converges exactly onto it; a trip or a
-    /// divergence surfaces as the error the batch is refused with.
+    /// seed ([`FirstPass::Seeded`]). The cone re-derive passes the
+    /// over-deleted tuples as the guard ([`FirstPass::Guarded`]): each
+    /// affected stratum's first iteration re-fires a clause only inside
+    /// the tuples its head lost, then continues semi-naively from what
+    /// came back. The wipe re-derive fires every affected clause fully
+    /// ([`FirstPass::Naive`]). Each run starts from a subset of the new
+    /// fixpoint and converges exactly onto it; a trip or a divergence
+    /// surfaces as the error the batch is refused with.
     fn maintain(
         &mut self,
         governor: &Arc<Governor>,
-        seed: Option<BTreeMap<String, GeneralizedRelation>>,
+        first: FirstPass<'_>,
         affected: &BTreeSet<String>,
         out: &mut ApplyOutcome,
     ) -> Result<()> {
         let _scope = governor.enter();
-        let rederive = seed.is_none();
+        let rederive = !matches!(first, FirstPass::Seeded(_));
         let fixpoint = Fixpoint {
             info: &self.info,
             clauses: &self.clauses,
@@ -779,16 +834,18 @@ impl ResidentModel {
             hashes: None,
         };
         let mut st = RunState::default();
-        let outcome = fixpoint.run(&mut self.idb, &mut st, seed, Some(affected), None)?;
+        let outcome = fixpoint.run(&mut self.idb, &mut st, first, Some(affected), None)?;
         out.strata_touched += st.stats.strata.len();
         out.iterations += st.iteration as u64;
+        out.derived += st.stats.tuples_derived;
         if rederive {
             out.rederived += st.stats.tuples_inserted;
         } else {
             out.derived_inserted += st.stats.tuples_inserted;
         }
         converged(outcome)?;
-        self.derivations.extend(st.derivations);
+        self.derivations
+            .extend(st.derivations.into_iter().map(Arc::new));
         Ok(())
     }
 
@@ -800,7 +857,7 @@ impl ResidentModel {
         let eval = evaluate_governed(&self.program, &self.edb, &self.opts, governor)?;
         converged(eval.outcome)?;
         self.idb = eval.idb;
-        self.derivations = eval.derivations;
+        self.derivations = eval.derivations.into_iter().map(Arc::new).collect();
         // A from-scratch evaluation re-establishes complete provenance
         // (when recording is on at all).
         self.provenance_complete = self.opts.provenance && !self.opts.coalesce;
@@ -1103,6 +1160,87 @@ mod tests {
         assert!(out.dred_cone, "provenance-complete model uses the cone");
         assert!(out.retracted >= 1);
         assert!(out.overdeleted >= 1, "consequences over-deleted");
+    }
+
+    /// A tuple with a second derivation comes back through the guarded
+    /// re-derive, and only the clauses inside the over-deleted tuples fire.
+    #[test]
+    fn guarded_rederive_reinserts_alternative_derivations() {
+        let program = parse_program(
+            "p[t](X) <- e[t](X).
+             p[t](X) <- f[t](X).
+             q[t](hot) <- p[t](X), g[t](X).",
+        )
+        .unwrap();
+        let mut edb = Database::new();
+        edb.insert_parsed("e", "(6n; a)\n(6n+1; b)").unwrap();
+        edb.insert_parsed("f", "(12n; a)").unwrap();
+        edb.insert_parsed("g", "(2n; a)\n(3n+1; b)").unwrap();
+        let mut inc = ResidentModel::new(program.clone(), edb.clone(), prov_opts()).unwrap();
+        let mut oracle = ResidentModel::new(program, edb, prov_opts()).unwrap();
+        let ops = vec![retract_op("e", "(6n; a)")];
+        let out = inc.apply_ops(&ops).unwrap();
+        oracle.apply_ops_full_reeval(&ops).unwrap();
+        assert_equivalent(&inc, &oracle, "guarded re-derive vs oracle");
+        assert!(out.dred_cone);
+        assert_eq!(out.overdeleted, 2, "p(6n; a) and q(6n; hot)");
+        assert_eq!(out.rederived, 2, "p(12n; a) and q(12n; hot) come back");
+        // The b-side of p and q was neither deleted nor re-fired: the
+        // guard confined the re-derive to the lost tuples.
+        assert_eq!(out.derived, 2, "one candidate per lost tuple");
+    }
+
+    /// A batch that retracts one support of `p(12n; a)` and asserts the
+    /// `g` edge from `a` to `c`: the new `p(12n; c)` and `j(12n; c, a)`
+    /// lie outside everything the retraction over-deletes, so only the
+    /// seeded insert pass, run before the over-delete, can reach them.
+    #[test]
+    fn mixed_batch_asserts_reach_past_the_guard() {
+        let program = parse_program(
+            "p[t](X) <- e[t](X).
+             p[t](X) <- f[t](X).
+             p[t](Y) <- p[t](X), g[t](X, Y).
+             j[t](X, Y) <- p[t](X), g[t](X, Y).",
+        )
+        .unwrap();
+        let mut edb = Database::new();
+        edb.insert_parsed("e", "(6n; a)").unwrap();
+        edb.insert_parsed("f", "(12n; a)").unwrap();
+        edb.insert_parsed("g", "(12n; c, a)").unwrap();
+        let mut inc = ResidentModel::new(program.clone(), edb.clone(), prov_opts()).unwrap();
+        let mut oracle = ResidentModel::new(program, edb, prov_opts()).unwrap();
+        let ops = vec![retract_op("e", "(6n; a)"), assert_op("g", "(6n; a, c)")];
+        let out = inc.apply_ops(&ops).unwrap();
+        oracle.apply_ops_full_reeval(&ops).unwrap();
+        assert!(out.dred_cone);
+        assert_equivalent(&inc, &oracle, "mixed batch vs oracle");
+        assert_equivalent(&oracle, &inc, "oracle vs mixed batch");
+    }
+
+    /// E13's shape: retracting one course re-derives inside its own
+    /// over-deleted tuples only, so the work does not grow with the number
+    /// of other courses.
+    #[test]
+    fn retract_work_is_independent_of_the_other_courses() {
+        let retract_one = |k: usize| {
+            let mut edb = Database::new();
+            let text: Vec<String> = (0..k)
+                .map(|i| format!("(168n+{}, 168n+{}; c{i}) : T2 = T1 + 2", 2 * i, 2 * i + 2))
+                .collect();
+            edb.insert_parsed("course", &text.join("\n")).unwrap();
+            let mut m =
+                ResidentModel::new(parse_program(PROGRAM).unwrap(), edb, prov_opts()).unwrap();
+            let victim = format!("(168n+{}, 168n+{}; c{}) : T2 = T1 + 2", k - 2, k, k / 2 - 1);
+            m.apply_ops(&[retract_op("course", &victim)]).unwrap()
+        };
+        let (small, large) = (retract_one(16), retract_one(64));
+        assert!(small.dred_cone && large.dred_cone);
+        assert_eq!(small.overdeleted, 7);
+        assert_eq!(
+            (small.overdeleted, small.derived, small.rederived),
+            (large.overdeleted, large.derived, large.rederived),
+            "the same cone and the same candidates at k = 16 and k = 64"
+        );
     }
 
     /// Wipe mode (provenance off): same semantics through the fallback.

@@ -18,7 +18,11 @@
 //!    paths legitimately produce different closed representations of
 //!    the same infinite set; equivalence is the semantic contract, and
 //!    determinism is the byte-level one. This matches the insert path.)
-//! 4. **Transactional rollback** — under arbitrarily tight governor
+//! 4. **Guarded re-derive on data** — the same equivalence and replay
+//!    checks over data-carrying programs whose tuples have alternative
+//!    derivations, so the cone re-derive must re-insert inside the
+//!    over-deleted tuples (`guarded_rederive_equals_full_reeval_on_data`).
+//! 5. **Transactional rollback** — under arbitrarily tight governor
 //!    settings, a batch either applies identically on both incremental
 //!    twins or rolls back on both, leaving byte-identical state; the
 //!    final model always equals a fresh full evaluation over exactly
@@ -181,6 +185,135 @@ proptest! {
                 prop_assert_eq!(
                     rel.tuples(), replay.edb().get(pred).unwrap().tuples(),
                     "{}: EDB replay of {} must be byte-identical", rw.source, pred
+                );
+            }
+        }
+    }
+}
+
+/// A data-carrying workload for the guarded re-derive: three data values,
+/// two alternative derivations of `p` (so retracting one source leaves a
+/// tuple the guard must re-insert), an optional shift recursion, optional
+/// clauses joining on a data variable (one of them recursive), and a head
+/// data constant. No negation, so every retraction runs in cone mode.
+#[derive(Debug, Clone)]
+struct DataWorkload {
+    source: String,
+}
+
+fn data_workload_strategy() -> impl Strategy<Value = DataWorkload> {
+    (0i64..4, 0i64..3, 0u8..4, 0u8..2).prop_map(|(shift, lag, via_g, const_head)| {
+        let mut src = String::from(
+            "p[t](X) <- e[t](X).\n\
+                 p[t](X) <- f[t](X).\n",
+        );
+        if shift > 0 {
+            src.push_str(&format!("p[t + {shift}](X) <- p[t](X).\n"));
+        }
+        if via_g & 1 == 1 {
+            src.push_str("p[t](Y) <- g[t](X, Y), e[t](X).\n");
+        }
+        if via_g & 2 == 2 {
+            // Recursion through a data join: what comes back in `p` reaches
+            // further values through `g`, asserted ones included.
+            src.push_str("p[t](Y) <- p[t](X), g[t](X, Y).\n");
+        }
+        src.push_str(&format!("j[t](X, Y) <- p[t](X), g[t + {lag}](X, Y).\n"));
+        if const_head == 1 {
+            src.push_str("k[t](hot) <- j[t](X, Y), p[t](Y).\n");
+        } else {
+            src.push_str("k[t](Y) <- j[t](X, Y), f[t](Y).\n");
+        }
+        DataWorkload { source: src }
+    })
+}
+
+const DATA: [&str; 3] = ["a", "b", "c"];
+
+/// A tuple of `pred` from a small spec space shared by the seed EDB,
+/// asserts and retracts, so retractions often hit a stored tuple exactly.
+fn data_tuple(pred: u8, period_idx: u8, offset: i64, d1: u8, d2: u8) -> (String, String) {
+    let period = [6i64, 12][period_idx as usize % 2];
+    let offset = offset % period;
+    let (x, y) = (DATA[d1 as usize % 3], DATA[d2 as usize % 3]);
+    match pred % 3 {
+        0 => ("e".into(), format!("({period}n+{offset}; {x})")),
+        1 => ("f".into(), format!("({period}n+{offset}; {x})")),
+        _ => ("g".into(), format!("({period}n+{offset}; {x}, {y})")),
+    }
+}
+
+fn data_edb() -> Database {
+    let mut db = Database::new();
+    db.insert_parsed("e", "(6n+0; a)\n(6n+1; b)\n(12n+2; c)")
+        .unwrap();
+    db.insert_parsed("f", "(12n+0; a)\n(6n+1; b)\n(12n+3; c)")
+        .unwrap();
+    db.insert_parsed(
+        "g",
+        "(6n+0; a, b)\n(6n+1; b, c)\n(12n+0; c, a)\n(6n+2; a, a)",
+    )
+    .unwrap();
+    db
+}
+
+/// (retract flag, predicate, period index, offset, datum 1, datum 2).
+type DataOpSpec = (u8, u8, u8, i64, u8, u8);
+
+fn data_batches_strategy() -> impl Strategy<Value = Vec<Vec<DataOpSpec>>> {
+    proptest::collection::vec(
+        proptest::collection::vec((0u8..2, 0u8..3, 0u8..2, 0i64..4, 0u8..3, 0u8..3), 1..4),
+        1..5,
+    )
+}
+
+fn data_op(spec: &DataOpSpec) -> Op {
+    let (retract, pred, period_idx, offset, d1, d2) = *spec;
+    let (pred, text) = data_tuple(pred, period_idx, offset, d1, d2);
+    let fact = Fact {
+        pred,
+        tuple: parse_tuple(&text).unwrap(),
+    };
+    if retract == 1 {
+        Op::Retract(fact)
+    } else {
+        Op::Assert(fact)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Cone-mode DRed with the guarded re-derive ≡ full re-evaluation on
+    /// data-carrying programs, with byte-identical replay on a twin.
+    #[test]
+    fn guarded_rederive_equals_full_reeval_on_data(
+        dw in data_workload_strategy(),
+        batch_specs in data_batches_strategy(),
+    ) {
+        let program = parse_program(&dw.source).unwrap();
+        let mut cone = ResidentModel::new(program.clone(), data_edb(), opts(true)).unwrap();
+        let mut oracle = ResidentModel::new(program.clone(), data_edb(), opts(true)).unwrap();
+        let mut replay = ResidentModel::new(program, data_edb(), opts(true)).unwrap();
+        for specs in &batch_specs {
+            let ops: Vec<Op> = specs.iter().map(data_op).collect();
+            let a = cone.apply_ops(&ops).unwrap();
+            oracle.apply_ops_full_reeval(&ops).unwrap();
+            let r = replay.apply_ops(&ops).unwrap();
+            prop_assert_eq!(a, r, "replay outcome is identical");
+            if a.retracted > 0 {
+                prop_assert!(a.dred_cone, "{}: a positive program retracts in cone mode", dw.source);
+            }
+            for (pred, rel) in cone.idb() {
+                let other = &oracle.idb()[pred];
+                prop_assert!(
+                    rel.equivalent(other, 1_000_000).unwrap(),
+                    "{}: {} differs between guarded DRed and full re-eval after {:?}\nincremental: {}\noracle: {}",
+                    dw.source, pred, ops, rel, other
+                );
+                prop_assert_eq!(
+                    rel.tuples(), replay.idb()[pred].tuples(),
+                    "{}: replay of {} must be byte-identical", dw.source, pred
                 );
             }
         }

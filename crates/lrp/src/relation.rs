@@ -6,6 +6,10 @@
 //! relations; the deductive engine in `itdb-core` maps predicate symbols to
 //! values of this type.
 
+// Reached by every insert and query: failures must flow through the
+// error taxonomy, never panic.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::error::{ArityDim, Error, Result};
 use crate::lrp::Lrp;
 use crate::tuple::GeneralizedTuple;
@@ -112,17 +116,26 @@ impl GeneralizedRelation {
     /// The tuples sharing the given data vector, via the index. Records the
     /// narrowing (bucket size vs. full scan) in [`crate::stats`].
     pub fn candidates(&self, data: &[DataValue]) -> Vec<&GeneralizedTuple> {
-        let cand: Vec<&GeneralizedTuple> = self
-            .index
-            .get(data)
-            .map(|bucket| bucket.iter().map(|&i| &self.tuples[i]).collect())
-            .unwrap_or_default();
+        let cand: Vec<&GeneralizedTuple> = self.bucket(data).collect();
         crate::stats::note_index_lookup(cand.len() as u64, self.tuples.len() as u64);
         itdb_trace::emit(|| itdb_trace::EventKind::IndexLookup {
             candidates: cand.len() as u64,
             scanned: self.tuples.len() as u64,
         });
         cand
+    }
+
+    /// The tuples stored with data vector `data`, in storage order: what
+    /// [`Self::candidates`] returns, without its lookup accounting.
+    pub fn bucket<'a>(
+        &'a self,
+        data: &[DataValue],
+    ) -> impl Iterator<Item = &'a GeneralizedTuple> + 'a {
+        self.index
+            .get(data)
+            .into_iter()
+            .flatten()
+            .map(|&i| &self.tuples[i])
     }
 
     /// Builds a relation from tuples, checking the schema of each.
@@ -279,25 +292,32 @@ impl GeneralizedRelation {
     }
 
     /// Removes every stored tuple that `keep` rejects, preserving the
-    /// storage order of the survivors and rebuilding the data index.
-    /// Returns the removed tuples in their original storage order — the
-    /// deletion seed for downstream invalidation (DRed over-delete).
+    /// storage order of the survivors and renumbering the data index in
+    /// place. Returns the removed tuples in their original storage order —
+    /// the deletion seed for downstream invalidation (DRed over-delete).
     pub fn remove_where(
         &mut self,
         mut keep: impl FnMut(&GeneralizedTuple) -> bool,
     ) -> Vec<GeneralizedTuple> {
         let mut removed = Vec::new();
         let mut kept = Vec::with_capacity(self.tuples.len());
+        // The new position of every old one; `None` once removed.
+        let mut moved = Vec::with_capacity(self.tuples.len());
         for t in self.tuples.drain(..) {
             if keep(&t) {
+                moved.push(Some(kept.len()));
                 kept.push(t);
             } else {
+                moved.push(None);
                 removed.push(t);
             }
         }
         self.tuples = kept;
         if !removed.is_empty() {
-            self.rebuild_index();
+            self.index.retain(|_, bucket| {
+                bucket.retain_mut(|i| moved[*i].map(|j| *i = j).is_some());
+                !bucket.is_empty()
+            });
         }
         removed
     }
@@ -481,6 +501,7 @@ impl fmt::Display for GeneralizedRelation {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::constraint::{Constraint, Var};

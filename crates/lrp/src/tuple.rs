@@ -15,32 +15,45 @@ use crate::error::{Error, Result};
 use crate::lrp::Lrp;
 use crate::value::DataValue;
 use crate::zone::Zone;
+use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A ground generalized tuple: a periodic zone plus data constants.
 ///
-/// Carries two memos that are **not** part of the tuple's identity (they are
-/// excluded from `PartialEq`/`Hash`): the canonical form of the zone and the
-/// exact emptiness verdict. Both are computed at most once per tuple and
-/// invalidated by the mutating methods ([`GeneralizedTuple::zone_mut`],
-/// [`GeneralizedTuple::shift_attr`], [`GeneralizedTuple::add_constraint`]),
-/// so fixpoint loops that repeatedly normalize or subsume the same tuples
-/// stop re-canonicalizing identical zones.
+/// Immutable once built and shared behind an [`Arc`], so a clone is a
+/// reference-count bump: a model version, its derivation log and every
+/// matched source fact hold the same allocation. The mutating methods
+/// ([`GeneralizedTuple::zone_mut`], [`GeneralizedTuple::shift_attr`],
+/// [`GeneralizedTuple::add_constraint`]) copy on write.
+///
+/// Carries three memos that are **not** part of the tuple's identity (they
+/// are excluded from `PartialEq`/`Hash`): the canonical form of the zone,
+/// the exact emptiness verdict and the content hash. Each is computed at
+/// most once per tuple, shared by its clones, and dropped by the mutating
+/// methods, so fixpoint loops that repeatedly normalize or subsume the same
+/// tuples stop re-canonicalizing identical zones, and hash sets of tuples
+/// (the DRed over-delete) hash each tuple's content once.
 #[derive(Debug, Clone)]
-pub struct GeneralizedTuple {
+pub struct GeneralizedTuple(Arc<Parts>);
+
+#[derive(Debug, Clone)]
+struct Parts {
     zone: Zone,
     data: Vec<DataValue>,
     /// Canonical zone; `None` means canonicalization refuted the zone.
     canon_memo: OnceLock<Option<Zone>>,
     /// Exact emptiness verdict (budget-independent once computed).
     empty_memo: OnceLock<bool>,
+    /// Hash of `zone` and `data`.
+    hash_memo: OnceLock<u64>,
 }
 
 impl PartialEq for GeneralizedTuple {
     fn eq(&self, other: &Self) -> bool {
-        self.zone == other.zone && self.data == other.data
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.0.zone == other.0.zone && self.0.data == other.0.data)
     }
 }
 
@@ -48,20 +61,26 @@ impl Eq for GeneralizedTuple {}
 
 impl Hash for GeneralizedTuple {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.zone.hash(state);
-        self.data.hash(state);
+        let content = self.0.hash_memo.get_or_init(|| {
+            let mut h = DefaultHasher::new();
+            self.0.zone.hash(&mut h);
+            self.0.data.hash(&mut h);
+            h.finish()
+        });
+        state.write_u64(*content);
     }
 }
 
 impl GeneralizedTuple {
     /// Creates a tuple from a zone and data constants.
     pub fn new(zone: Zone, data: Vec<DataValue>) -> Self {
-        GeneralizedTuple {
+        GeneralizedTuple(Arc::new(Parts {
             zone,
             data,
             canon_memo: OnceLock::new(),
             empty_memo: OnceLock::new(),
-        }
+            hash_memo: OnceLock::new(),
+        }))
     }
 
     /// Convenience constructor from lrps, constraints and data.
@@ -77,18 +96,22 @@ impl GeneralizedTuple {
         GeneralizedTuple::new(zone, Vec::new())
     }
 
-    /// Drops both memos; must be called before any mutation of the zone.
-    fn invalidate_memos(&mut self) {
-        self.canon_memo = OnceLock::new();
-        self.empty_memo = OnceLock::new();
+    /// The tuple's own parts, copied first if shared, with every memo
+    /// dropped: must be called before any mutation of the zone.
+    fn parts_mut(&mut self) -> &mut Parts {
+        let parts = Arc::make_mut(&mut self.0);
+        parts.canon_memo = OnceLock::new();
+        parts.empty_memo = OnceLock::new();
+        parts.hash_memo = OnceLock::new();
+        parts
     }
 
     /// The memoized canonical zone (`None` = refuted / empty).
     fn canon_zone(&self) -> &Option<Zone> {
         let mut computed = false;
-        let memo = self.canon_memo.get_or_init(|| {
+        let memo = self.0.canon_memo.get_or_init(|| {
             computed = true;
-            self.zone.canonical()
+            self.0.zone.canonical()
         });
         crate::stats::note_canonical_cache(!computed);
         memo
@@ -96,47 +119,46 @@ impl GeneralizedTuple {
 
     /// Temporal arity `m`.
     pub fn temporal_arity(&self) -> usize {
-        self.zone.arity()
+        self.0.zone.arity()
     }
 
     /// Data arity `ℓ`.
     pub fn data_arity(&self) -> usize {
-        self.data.len()
+        self.0.data.len()
     }
 
     /// The temporal zone.
     pub fn zone(&self) -> &Zone {
-        &self.zone
+        &self.0.zone
     }
 
     /// Mutable access to the zone. Invalidates the canonical-form and
     /// emptiness memos, since the caller may change the denoted set.
     pub fn zone_mut(&mut self) -> &mut Zone {
-        self.invalidate_memos();
-        &mut self.zone
+        &mut self.parts_mut().zone
     }
 
     /// The data constants.
     pub fn data(&self) -> &[DataValue] {
-        &self.data
+        &self.0.data
     }
 
     /// Membership of a ground tuple `(t₁, …, tₘ, d₁, …, d_ℓ)`.
     pub fn contains(&self, temporal: &[i64], data: &[DataValue]) -> bool {
-        data == self.data.as_slice() && self.zone.contains_point(temporal)
+        data == self.0.data.as_slice() && self.0.zone.contains_point(temporal)
     }
 
     /// The paper's *free extension*: the same tuple freed from its
     /// constraints (constraint `true`).
     pub fn free_extension(&self) -> GeneralizedTuple {
-        GeneralizedTuple::new(Zone::new(self.zone.lrps().to_vec()), self.data.clone())
+        GeneralizedTuple::new(Zone::new(self.0.zone.lrps().to_vec()), self.0.data.clone())
     }
 
     /// The canonical free-extension key: canonical lrps plus data. Two
     /// tuples with equal keys have equal free extensions (Theorem 4.2 relies
     /// on there being finitely many such keys once periods are bounded).
     pub fn free_extension_key(&self) -> (Vec<Lrp>, Vec<DataValue>) {
-        (self.zone.lrps().to_vec(), self.data.clone())
+        (self.0.zone.lrps().to_vec(), self.0.data.clone())
     }
 
     /// Is the represented set of ground tuples empty?
@@ -146,19 +168,19 @@ impl GeneralizedTuple {
     /// The verdict itself does not depend on the budget — a larger budget
     /// can only turn an error into an answer, never change the answer.
     pub fn is_empty(&self, budget: u64) -> Result<bool> {
-        if let Some(&verdict) = self.empty_memo.get() {
+        if let Some(&verdict) = self.0.empty_memo.get() {
             crate::stats::note_empty_cache(true);
             return Ok(verdict);
         }
         // A memoized refuted canonical form settles emptiness for free.
-        if let Some(None) = self.canon_memo.get() {
+        if let Some(None) = self.0.canon_memo.get() {
             crate::stats::note_empty_cache(true);
-            let _ = self.empty_memo.set(true);
+            let _ = self.0.empty_memo.set(true);
             return Ok(true);
         }
         crate::stats::note_empty_cache(false);
-        let verdict = self.zone.is_empty(budget)?;
-        let _ = self.empty_memo.set(verdict);
+        let verdict = self.0.zone.is_empty(budget)?;
+        let _ = self.0.empty_memo.set(verdict);
         Ok(verdict)
     }
 
@@ -168,25 +190,23 @@ impl GeneralizedTuple {
         crate::stats::note_subsumption_check();
         let zones: Vec<&Zone> = others
             .iter()
-            .filter(|o| o.data == self.data)
-            .map(|o| &o.zone)
+            .filter(|o| o.0.data == self.0.data)
+            .map(|o| &o.0.zone)
             .collect();
         if zones.is_empty() {
             return self.is_empty(budget);
         }
-        self.zone.subsumed_by(&zones, budget)
+        self.0.zone.subsumed_by(&zones, budget)
     }
 
     /// Shifts temporal attribute `k` by `c`.
     pub fn shift_attr(&mut self, k: usize, c: i64) -> Result<()> {
-        self.invalidate_memos();
-        self.zone.shift_attr(k, c)
+        self.parts_mut().zone.shift_attr(k, c)
     }
 
     /// Adds a constraint over the temporal attributes.
     pub fn add_constraint(&mut self, c: Constraint) -> Result<()> {
-        self.invalidate_memos();
-        self.zone.add_constraint(c)
+        self.parts_mut().zone.add_constraint(c)
     }
 
     /// Projects onto the given temporal attributes (in order) and data
@@ -201,13 +221,17 @@ impl GeneralizedTuple {
         let data: Vec<DataValue> = data_keep
             .iter()
             .map(|&k| {
-                self.data.get(k).cloned().ok_or(Error::VariableOutOfRange {
-                    index: k,
-                    arity: self.data.len(),
-                })
+                self.0
+                    .data
+                    .get(k)
+                    .cloned()
+                    .ok_or(Error::VariableOutOfRange {
+                        index: k,
+                        arity: self.0.data.len(),
+                    })
             })
             .collect::<Result<_>>()?;
-        let zones = self.zone.project(temporal_keep, budget)?;
+        let zones = self.0.zone.project(temporal_keep, budget)?;
         Ok(zones
             .into_iter()
             .map(|zone| GeneralizedTuple::new(zone, data.clone()))
@@ -216,10 +240,11 @@ impl GeneralizedTuple {
 
     /// Enumerates the ground tuples within `[lo, hi]^m` (temporal window).
     pub fn enumerate_window(&self, lo: i64, hi: i64) -> Vec<(Vec<i64>, Vec<DataValue>)> {
-        self.zone
+        self.0
+            .zone
             .enumerate_window(lo, hi)
             .into_iter()
-            .map(|t| (t, self.data.clone()))
+            .map(|t| (t, self.0.data.clone()))
             .collect()
     }
 
@@ -228,12 +253,16 @@ impl GeneralizedTuple {
     ///
     /// Memoized: repeated calls (e.g. from
     /// [`crate::GeneralizedRelation::normalize`] across fixpoint rounds)
-    /// canonicalize the zone only once. The returned tuple's own canonical
-    /// memo is pre-seeded, since canonicalization is idempotent.
+    /// canonicalize the zone only once. An already canonical tuple comes
+    /// back as a clone of itself; otherwise the returned tuple's own
+    /// canonical memo is pre-seeded, since canonicalization is idempotent.
     pub fn canonical(&self) -> Option<GeneralizedTuple> {
         self.canon_zone().as_ref().map(|zone| {
-            let t = GeneralizedTuple::new(zone.clone(), self.data.clone());
-            let _ = t.canon_memo.set(Some(zone.clone()));
+            if *zone == self.0.zone {
+                return self.clone();
+            }
+            let t = GeneralizedTuple::new(zone.clone(), self.0.data.clone());
+            let _ = t.0.canon_memo.set(Some(zone.clone()));
             t
         })
     }
@@ -242,17 +271,17 @@ impl GeneralizedTuple {
 impl fmt::Display for GeneralizedTuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
-        for (i, l) in self.zone.lrps().iter().enumerate() {
+        for (i, l) in self.0.zone.lrps().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
             write!(f, "{l}")?;
         }
-        if !self.data.is_empty() {
-            if self.zone.arity() > 0 {
+        if !self.0.data.is_empty() {
+            if self.0.zone.arity() > 0 {
                 write!(f, "; ")?;
             }
-            for (i, d) in self.data.iter().enumerate() {
+            for (i, d) in self.0.data.iter().enumerate() {
                 if i > 0 {
                     write!(f, ", ")?;
                 }
@@ -260,7 +289,7 @@ impl fmt::Display for GeneralizedTuple {
             }
         }
         write!(f, ")")?;
-        let dbm = self.zone.dbm();
+        let dbm = self.0.zone.dbm();
         if dbm.finite_bounds().next().is_some() {
             write!(f, " : {dbm}")?;
         }
@@ -335,8 +364,10 @@ mod tests {
     #[test]
     fn subsumption_ignores_mismatched_data() {
         let t = train_tuple();
-        let mut other = train_tuple();
-        other.data = vec![DataValue::sym("liege"), DataValue::sym("namur")];
+        let other = GeneralizedTuple::new(
+            t.zone().clone(),
+            vec![DataValue::sym("liege"), DataValue::sym("namur")],
+        );
         assert!(!t.subsumed_by(&[&other], B).unwrap());
         assert!(t.subsumed_by(&[&t.clone()], B).unwrap());
     }

@@ -30,6 +30,10 @@
 //!    into the `P/p` residue classes modulo `P = lcm` of all periods. The
 //!    split factor is budgeted (see [`Error::ResidueBudget`]).
 
+// Reached by every insert and query: failures must flow through the
+// error taxonomy, never panic.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::bound::Bound;
 use crate::constraint::Constraint;
 use crate::dbm::Dbm;
@@ -302,13 +306,12 @@ impl Zone {
         let mut counter = vec![0i64; n];
         loop {
             crate::governor::check_ambient()?;
-            let lrps: Vec<Lrp> = (0..n)
+            let lrps = (0..n)
                 .map(|k| {
                     let base = &self.lrps[k];
                     Lrp::new(p, base.offset() + counter[k] * base.period())
-                        .expect("period is positive")
                 })
-                .collect();
+                .collect::<Result<Vec<Lrp>>>()?;
             let mut piece = Zone {
                 lrps,
                 dbm: self.dbm.clone(),
@@ -363,13 +366,13 @@ impl Zone {
     }
 
     /// Rebuilds an x-space zone from a y-space DBM and residue offsets.
-    fn from_y_dbm(y: &Dbm, p: i64, offsets: &[i64]) -> Zone {
+    fn from_y_dbm(y: &Dbm, p: i64, offsets: &[i64]) -> Result<Zone> {
         let n = y.nvars();
         debug_assert_eq!(offsets.len(), n);
-        let lrps: Vec<Lrp> = offsets
+        let lrps = offsets
             .iter()
-            .map(|&b| Lrp::new(p, b).expect("p > 0"))
-            .collect();
+            .map(|&b| Lrp::new(p, b))
+            .collect::<Result<Vec<Lrp>>>()?;
         let mut dbm = Dbm::unconstrained(n);
         let off = |i: usize| if i == 0 { 0 } else { offsets[i - 1] };
         for i in 0..=n {
@@ -386,7 +389,7 @@ impl Zone {
                 }
             }
         }
-        Zone { lrps, dbm }
+        Ok(Zone { lrps, dbm })
     }
 
     /// Exact emptiness test.
@@ -481,10 +484,19 @@ impl Zone {
             // `dropped` lists kept attrs in ascending order; build the
             // permutation sending position `new` to the matrix index in
             // `dropped` of attribute `keep[new]`.
-            let perm: Vec<usize> = keep
+            let perm = keep
                 .iter()
-                .map(|k| kept_attrs.iter().position(|a| a == k).expect("kept") + 1)
-                .collect();
+                .map(|&k| {
+                    kept_attrs
+                        .iter()
+                        .position(|&a| a == k)
+                        .map(|pos| pos + 1)
+                        .ok_or(Error::VariableOutOfRange {
+                            index: k,
+                            arity: piece.arity(),
+                        })
+                })
+                .collect::<Result<Vec<usize>>>()?;
             let dbm = dropped.permute_vars(&perm);
             let lrps: Vec<Lrp> = keep.iter().map(|&k| piece.lrps[k]).collect();
             out.push(Zone { lrps, dbm });
@@ -502,9 +514,23 @@ impl Zone {
                 });
             }
         }
-        // Common uniform period across self and all others.
+        // A zone whose residues miss `self`'s on some column covers none of
+        // its points. Dropping it leaves the answer as it is and can shrink
+        // the common period, hence the split below.
+        let others: Vec<&Zone> = others
+            .iter()
+            .copied()
+            .filter(|o| {
+                !self
+                    .lrps
+                    .iter()
+                    .zip(&o.lrps)
+                    .any(|(a, b)| matches!(a.intersect(b), Ok(None)))
+            })
+            .collect();
+        // Common uniform period across self and the remaining others.
         let mut p = self.uniform_period()?;
-        for o in others {
+        for o in &others {
             p = lcm(p, o.uniform_period()?)?;
         }
         let self_pieces = self.split_to_period(p, budget)?;
@@ -512,7 +538,7 @@ impl Zone {
             return Ok(true);
         }
         let mut other_pieces: Vec<Zone> = Vec::new();
-        for o in others {
+        for o in &others {
             other_pieces.extend(o.split_to_period(p, budget)?);
         }
         for piece in &self_pieces {
@@ -587,7 +613,7 @@ impl Zone {
                 continue;
             }
             for rem in dbm_subtract_all(&a, &candidates) {
-                out.push(Zone::from_y_dbm(&rem, p, &offsets));
+                out.push(Zone::from_y_dbm(&rem, p, &offsets)?);
             }
         }
         Ok(out)
@@ -626,9 +652,9 @@ impl Zone {
             let mut counter = vec![0i64; n];
             loop {
                 crate::governor::check_ambient()?;
-                let lrps: Vec<Lrp> = (0..n)
-                    .map(|k| Lrp::new(p, z.lrps[k].offset() + counter[k] * zp).expect("p > 0"))
-                    .collect();
+                let lrps = (0..n)
+                    .map(|k| Lrp::new(p, z.lrps[k].offset() + counter[k] * zp))
+                    .collect::<Result<Vec<Lrp>>>()?;
                 let mut piece = Zone {
                     lrps,
                     dbm: z.dbm.clone(),
@@ -842,6 +868,7 @@ fn gcd0(a: i64, b: i64) -> i64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::constraint::Var;

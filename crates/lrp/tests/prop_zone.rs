@@ -147,6 +147,51 @@ proptest! {
         }
     }
 
+    /// Subsumption stays exact when the candidates mix periods and some
+    /// miss `a`'s residues on a column: the verdict matches subtraction
+    /// (which splits every candidate), is unchanged by dropping the
+    /// disjoint candidate, and a positive verdict holds pointwise.
+    #[test]
+    fn subsumption_with_disjoint_and_refined_candidates(
+        a in zone_strategy(2),
+        b in zone_strategy(2),
+        col in 0usize..2,
+        mult in 2i64..=3,
+        cs in proptest::collection::vec(constraint_strategy(2), 0..=2),
+    ) {
+        let residue = |k: usize, period: i64, offset: i64| {
+            let mut lrps: Vec<Lrp> = a.lrps().to_vec();
+            lrps[k] = Lrp::new(period, offset.rem_euclid(period)).unwrap();
+            Zone::with_constraints(lrps, &cs).unwrap()
+        };
+        let (p, off) = (a.lrp(col).period(), a.lrp(col).offset());
+        // Offset `off + 1` modulo a multiple of `p`: disjoint from `a`'s
+        // column whenever `p > 1`.
+        let disjoint = residue(col, p * mult, off + 1);
+        // Every `mult`-th point of `a`'s residue class: a finer period.
+        let refined = residue(1 - col, a.lrp(1 - col).period() * mult, a.lrp(1 - col).offset());
+        let all = [&b, &disjoint, &refined];
+        let sub = a.subsumed_by(&all, B).unwrap();
+        let diff = a.subtract(&all, B).unwrap();
+        prop_assert_eq!(sub, diff.iter().all(|z| z.is_empty(B).unwrap()));
+        if p > 1 {
+            prop_assert_eq!(sub, a.subsumed_by(&[&b, &refined], B).unwrap());
+        }
+        if sub {
+            for t1 in LO..=HI {
+                for t2 in LO..=HI {
+                    let pt = [t1, t2];
+                    if a.contains_point(&pt) {
+                        prop_assert!(
+                            all.iter().any(|z| z.contains_point(&pt)),
+                            "at {:?}", pt
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// Complement is pointwise negation.
     #[test]
     fn complement_exact(z in zone_strategy(2)) {

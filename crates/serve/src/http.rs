@@ -6,6 +6,14 @@
 //! header count and size, body size — so a misbehaving client cannot make
 //! a worker allocate without limit; every violation maps to a 4xx rather
 //! than a panic or an unbounded read.
+//!
+//! Every message goes to the socket in one write: a response is built
+//! whole (status line, headers, blank line, body) in one buffer, and so is
+//! each chunk of a stream. Written piece by piece, the first small segment
+//! leaves unacknowledged, and Nagle's algorithm holds the next one back
+//! until the client's delayed ACK arrives, about 40 ms later, on every
+//! keep-alive response. One write per message sends it in one go without
+//! turning Nagle off for the whole socket.
 
 // User-reachable network path: malformed input must surface as typed
 // errors, never panic.
@@ -282,7 +290,8 @@ pub fn write_response(
 }
 
 /// Writes one complete response, choosing the `Connection` disposition and
-/// appending `extra` headers (e.g. `Retry-After`) verbatim.
+/// appending `extra` headers (e.g. `Retry-After`) verbatim. The status
+/// line, headers and body go to `w` in one write (see the module docs).
 pub fn write_response_with(
     w: &mut impl Write,
     status: u16,
@@ -292,38 +301,44 @@ pub fn write_response_with(
     extra: &[(&str, &str)],
 ) -> io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
+    let mut msg = Vec::with_capacity(128 + body.len());
     write!(
-        w,
+        msg,
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
         reason(status),
         body.len()
     )?;
     for (name, value) in extra {
-        write!(w, "{name}: {value}\r\n")?;
+        write!(msg, "{name}: {value}\r\n")?;
     }
-    w.write_all(b"\r\n")?;
-    w.write_all(body)?;
+    msg.extend_from_slice(b"\r\n");
+    msg.extend_from_slice(body);
+    w.write_all(&msg)?;
     w.flush()
 }
 
-/// Writes the header block starting a chunked (streaming) response.
+/// Writes the header block starting a chunked (streaming) response, in
+/// one write.
 pub fn start_chunked(w: &mut impl Write, status: u16, content_type: &str) -> io::Result<()> {
-    write!(
-        w,
+    let head = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
         reason(status)
-    )?;
+    );
+    w.write_all(head.as_bytes())?;
     w.flush()
 }
 
-/// Writes one chunk of a chunked response.
+/// Writes one chunk of a chunked response (size line, data, trailing
+/// CRLF) in one write.
 pub fn write_chunk(w: &mut impl Write, data: &[u8]) -> io::Result<()> {
     if data.is_empty() {
         return Ok(());
     }
-    write!(w, "{:x}\r\n", data.len())?;
-    w.write_all(data)?;
-    w.write_all(b"\r\n")?;
+    let mut chunk = format!("{:x}\r\n", data.len()).into_bytes();
+    chunk.reserve(data.len() + 2);
+    chunk.extend_from_slice(data);
+    chunk.extend_from_slice(b"\r\n");
+    w.write_all(&chunk)?;
     w.flush()
 }
 
@@ -430,6 +445,62 @@ mod tests {
         write_response_with(&mut out, 200, "text/plain", b"ok\n", true, &[]).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"), "{text}");
+    }
+
+    /// A sink that accepts everything and counts the `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_message_is_one_write() {
+        let statuses = [200, 202, 400, 404, 405, 413, 422, 431, 500, 503, 299];
+        let extras: [&[(&str, &str)]; 3] = [
+            &[],
+            &[("Retry-After", "2")],
+            &[("X-Itdb-Request-Id", "r-1"), ("Retry-After", "1")],
+        ];
+        for status in statuses {
+            for extra in extras {
+                for body in [&b""[..], b"ok\n", &[b'x'; 70_000][..]] {
+                    for keep_alive in [false, true] {
+                        let mut w = CountingWriter::default();
+                        write_response_with(&mut w, status, "text/plain", body, keep_alive, extra)
+                            .unwrap();
+                        assert_eq!(w.writes, 1, "status {status}, extra {extra:?}");
+                        assert!(w.bytes.ends_with(body));
+                    }
+                }
+            }
+        }
+        let mut w = CountingWriter::default();
+        start_chunked(&mut w, 200, "application/jsonl").unwrap();
+        assert_eq!(w.writes, 1, "chunked header block");
+        for data in [&b"{}\n"[..], &[b'y'; 70_000][..]] {
+            let mut w = CountingWriter::default();
+            write_chunk(&mut w, data).unwrap();
+            assert_eq!(w.writes, 1, "one chunk of {} bytes", data.len());
+        }
+        let mut w = CountingWriter::default();
+        write_chunk(&mut w, b"").unwrap();
+        assert_eq!(w.writes, 0, "an empty chunk would end the stream");
+        let mut w = CountingWriter::default();
+        finish_chunked(&mut w).unwrap();
+        assert_eq!(w.writes, 1, "terminator");
     }
 
     #[test]
