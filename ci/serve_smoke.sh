@@ -9,8 +9,10 @@
 # repository root.
 #
 # Three server sessions because each server materialises its workload
-# once, on the first /query, and serves every read from that model:
-#   1. the convergent Example 4.1 workload answers `complete`;
+# once, on the first /query (or /facts), and serves every read from that
+# model; none of them has a WAL, so /facts batches live in memory:
+#   1. the convergent Example 4.1 workload answers `complete`, and a
+#      /facts batch shows up in the next /query;
 #   1b. the same workload with the flight recorder disabled (--flight 0)
 #       must answer byte-identically — the recorder observes, never
 #       participates;
@@ -20,7 +22,7 @@
 #      see that same model, and the full request-id diagnosis chain
 #      holds: the tripping request's id appears in its response, in the
 #      access log, in the slow-query log, and on the flight dump the
-#      trip captured.
+#      trip captured; the partial model refuses /facts with 422.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -72,6 +74,19 @@ grep -q '168n' "$ART/serve_query_complete.json"
 test "$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$PORT_A/nope")" = 404
 test "$(curl -s -o /dev/null -w '%{http_code}' -X POST --data 'ghost[t]' \
     "http://127.0.0.1:$PORT_A/query")" = 422
+
+# Without a WAL the server still maintains its model: a /facts batch is
+# accepted and the next /query answers from the model that holds it.
+COURSE='{"facts":[{"pred":"course","tuple":"(168n+30, 168n+32; compilers) : T2 = T1 + 2"}]}'
+curl -fsS -X POST --data "$COURSE" "http://127.0.0.1:$PORT_A/facts" \
+    > "$ART/serve_facts_accepted.json"
+grep -q '"status":"accepted"' "$ART/serve_facts_accepted.json"
+curl -fsS -X POST --data 'problems[t, t + 2](C)' \
+    "http://127.0.0.1:$PORT_A/query" > "$ART/serve_query_after_facts.json"
+grep -q 'compilers' "$ART/serve_query_after_facts.json" || {
+    echo "FAIL: the /query after /facts does not see the new course" >&2
+    exit 1
+}
 
 graceful_stop "$SRV_A"
 
@@ -152,6 +167,13 @@ grep -q '"reason":"governor_trip"' "$ART/serve_flight.json" || {
 }
 grep -q '"request_id":"smoke-trip-1"' "$ART/serve_flight.json" || {
     echo "FAIL: flight dump not attributed to the tripped request" >&2
+    exit 1
+}
+# A partial model cannot be maintained: writes are refused with 422.
+test "$(curl -s -o "$ART/serve_facts_refused.json" -w '%{http_code}' -X POST \
+    --data '{"facts":[{"pred":"seed","tuple":"(n) : T1 = 5"}]}' \
+    "http://127.0.0.1:$PORT_B/facts")" = 422 || {
+    echo "FAIL: the tripped model accepted /facts" >&2
     exit 1
 }
 curl -fsS "http://127.0.0.1:$PORT_B/debug/profile" > "$ART/serve_profile.json"

@@ -18,9 +18,10 @@ Shell mode checks, line by line:
 
 Serve mode (`--serve`, DESIGN.md sections 11 and 14) checks the
 artifacts of one `itdb serve` session instead:
-  * the /metrics exposition is well-formed and carries both the folded
-    engine counters and the server's own HTTP/query/events/debug
-    families;
+  * the /metrics exposition is well-formed and carries the folded
+    engine counters, the server's own HTTP/query/events/debug families
+    and the model holder's fact/retraction families, but none of the
+    WAL's (the session runs without one);
   * the captured /events JSONL stream (cut off mid-flight, so spans need
     not balance; blank keepalive lines are allowed) contains evaluation
     events including a governor_trip from the fuel-starved
@@ -191,6 +192,29 @@ SERVE_REQUIRED_FAMILIES = (
     "itdb_events_streamers",
 )
 
+# The model holder exports its fact/retraction families once it exists,
+# with or without a WAL; the WAL's own families only with one. The smoke's
+# servers run without a WAL and scrape after the model was materialised.
+SERVE_FACT_FAMILIES = (
+    "itdb_facts_ingested_total",
+    "itdb_facts_duplicate_total",
+    "itdb_facts_retracted_total",
+    "itdb_retraction_overdeleted_total",
+    "itdb_retraction_rederived_total",
+    "itdb_retraction_overdeletion_ratio",
+    "itdb_ingest_batches_tripped_total",
+    "itdb_ingest_queue_depth",
+)
+WAL_FAMILIES = (
+    "itdb_wal_appends_total",
+    "itdb_wal_fsyncs_total",
+    "itdb_wal_replayed_records_total",
+    "itdb_wal_truncated_tails_total",
+    "itdb_wal_segment_bytes",
+    "itdb_ingest_checkpoint_writes_total",
+    "itdb_ingest_checkpoint_failures_total",
+)
+
 # Histogram sample names are the family name plus one of these suffixes;
 # only the base name gets a TYPE line.
 HISTOGRAM_SUFFIXES = ("_bucket", "_sum", "_count")
@@ -205,7 +229,8 @@ def typed_family(name, typed):
     )
 
 
-def validate_prom(path, required_families=SHELL_REQUIRED_FAMILIES):
+def validate_prom(path, required_families=SHELL_REQUIRED_FAMILIES,
+                  absent_families=()):
     typed = set()
     samples = 0
     with open(path, encoding="utf-8") as f:
@@ -235,6 +260,9 @@ def validate_prom(path, required_families=SHELL_REQUIRED_FAMILIES):
     for required in required_families:
         if required not in typed:
             fail(f"{path}: metric {required} missing")
+    for absent in absent_families:
+        if absent in typed:
+            fail(f"{path}: metric {absent} exported by a server without a WAL")
     print(f"ok: {path}: {samples} samples, {len(typed)} metric families")
 
 
@@ -450,7 +478,9 @@ def main():
             fail("usage: validate_observability.py --serve METRICS.prom "
                  "EVENTS.jsonl COMPLETE.json INTERRUPTED.json "
                  "[FLIGHT.json PROFILE.json REQUESTS.json SLOW.jsonl]")
-        validate_prom(sys.argv[2], SERVE_REQUIRED_FAMILIES)
+        validate_prom(sys.argv[2],
+                      SERVE_REQUIRED_FAMILIES + SERVE_FACT_FAMILIES,
+                      WAL_FAMILIES)
         validate_serve_events(sys.argv[3])
         validate_query_response(sys.argv[4], "complete")
         validate_query_response(sys.argv[5], "interrupted")

@@ -8,7 +8,9 @@
 //! `serve` keeps one workload (tuples + rules, the declarative subset of
 //! the shell's script format) resident and answers every `POST /query`
 //! by lookup in a model computed once: at boot with `--wal`, otherwise on
-//! the first query, under the `--fuel`/`--timeout-ms` budget. `GET
+//! the first query or write, under the `--fuel`/`--timeout-ms` budget.
+//! `POST /facts` maintains that model; `--wal` makes its batches
+//! durable. `GET
 //! /healthz`, `GET /metrics` (Prometheus text), `GET /events` (live
 //! JSONL trace stream) and the `GET /debug/*` introspection endpoints
 //! ride along. Every request carries an `X-Itdb-Request-Id`; slow
@@ -32,11 +34,12 @@ usage: itdb serve --addr HOST:PORT [options] WORKLOAD
   --workers N       worker threads (default 8); /events streams run on
                     their own dedicated streamer threads
   --fuel N          derivation-fuel budget of the one materialisation the
-                    first /query runs (not with --wal); a tripped model is
-                    served as its sound partial model, status
-                    `interrupted`, until restart
-  --timeout-ms N    wall-clock budget of that materialisation (not with
-                    --wal)
+                    first /query or /facts runs, and of each /facts batch
+                    (not with --wal); a tripped model is served as its
+                    sound partial model, status `interrupted`, and
+                    refuses writes until restart
+  --timeout-ms N    wall-clock budget of that materialisation and of each
+                    batch (not with --wal)
   --max-queued N    accepted connections held before answering 503 (default 64)
   --events-queue N  per-subscriber /events queue depth (default 1024)
   --queue-deadline-ms N
@@ -47,16 +50,16 @@ usage: itdb serve --addr HOST:PORT [options] WORKLOAD
   --keepalive-idle-ms N
                     idle keep-alive connections are closed after this
                     (default 5000)
-  --wal DIR         enable streaming ingestion (POST /facts): facts are
-                    made durable in a write-ahead log under DIR, applied
-                    to a resident incrementally-maintained model built at
-                    boot, and replayed from checkpoint + log on restart
+  --wal DIR         make POST /facts durable: batches are logged in a
+                    write-ahead log under DIR before they apply, the model
+                    is built at boot, and a restart replays checkpoint +
+                    log (without --wal, batches live in memory only)
   --wal-fsync POLICY
                     WAL flush policy: `always` (default; every record is
                     durable before its 202) or `batch:N` (group commit,
                     a crash may lose up to N-1 acknowledged records)
   --dedup-window N  request ids remembered for idempotent POST /facts
-                    retries (default 1024; must be at least 1)
+                    retries (default 1024; must be at least 1; with --wal)
   --slow-query-ms N log a full profile record for any /query slower than
                     N milliseconds (see --slow-log)
   --slow-log PATH   append slow-query records to PATH as JSONL (default:
@@ -224,7 +227,8 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
         }
         (None, None, Some(_)) => {
             return Err(
-                "--dedup-window needs --wal DIR (no ingest pipeline to configure)".to_string(),
+                "--dedup-window needs --wal DIR (without one the window keeps its default)"
+                    .to_string(),
             )
         }
         (None, None, None) => {}
@@ -349,13 +353,8 @@ fn serve(args: ServeArgs) {
             );
         }
     }
-    let facts = if ingest_config.is_some() {
-        " /facts"
-    } else {
-        ""
-    };
     println!(
-        "endpoints: /healthz /metrics /query{facts} /events /debug/flight /debug/profile \
+        "endpoints: /healthz /metrics /query /facts /events /debug/flight /debug/profile \
          /debug/requests  (Ctrl-C to drain and exit)"
     );
     if let Err(e) = server.run(shutdown_token()) {

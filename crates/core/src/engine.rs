@@ -1391,22 +1391,28 @@ struct MatchState<'a> {
     matched: Vec<(&'a str, &'a GeneralizedTuple)>,
 }
 
-/// The fully ground data key of `data` under the current bindings: `Some`
-/// exactly when every term is a constant or an already-bound variable, in
-/// which case a matching tuple must carry exactly this data vector and the
-/// relation's index can narrow the scan to same-data candidates.
-fn ground_data_key(
+/// The tuples of `rel` an atom with data terms `data` can match under
+/// the current bindings. When every term is a constant or an already-bound
+/// variable, a matching tuple must carry exactly that data vector, so the
+/// relation's index narrows the scan to same-data candidates; otherwise
+/// every tuple is a candidate. [`term_agrees`] stays the single data test.
+fn data_candidates<'r>(
+    rel: &'r GeneralizedRelation,
     data: &[DataTerm],
     binding: &HashMap<String, DataValue>,
-) -> Option<Vec<DataValue>> {
-    let mut key = Vec::with_capacity(data.len());
-    for term in data {
-        match term {
-            DataTerm::Const(c) => key.push(c.clone()),
-            DataTerm::Var(v) => key.push(binding.get(v)?.clone()),
-        }
+    use_index: bool,
+) -> Vec<&'r GeneralizedTuple> {
+    let key: Option<Vec<DataValue>> = data
+        .iter()
+        .map(|term| match term {
+            DataTerm::Const(c) => Some(c.clone()),
+            DataTerm::Var(v) => binding.get(v).cloned(),
+        })
+        .collect();
+    match key {
+        Some(key) if use_index && !data.is_empty() => rel.candidates(&key),
+        _ => rel.tuples().iter().collect(),
     }
-    Some(key)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1433,15 +1439,7 @@ fn dfs<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
         );
     }
     let atom = &clause.body[k];
-    let rel = rel_for(k);
-    // When the atom's data terms are fully ground under the bindings so
-    // far, only same-data tuples can match: consult the index bucket
-    // instead of scanning the whole relation. (The data unification below
-    // then passes trivially, but stays as the single source of truth.)
-    let candidates: Vec<&GeneralizedTuple> = match ground_data_key(&atom.data, &state.binding) {
-        Some(key) if use_index && !atom.data.is_empty() => rel.candidates(&key),
-        _ => rel.tuples().iter().collect(),
-    };
+    let candidates = data_candidates(rel_for(k), &atom.data, &state.binding, use_index);
     'tuples: for tuple in candidates {
         // Save state for backtracking.
         let saved_lrps = state.lrps.clone();
@@ -1494,6 +1492,20 @@ fn dfs<'a, F: Fn(usize) -> &'a GeneralizedRelation>(
     Ok(())
 }
 
+/// The data test of one term against one value: `Ok` tells whether a
+/// constant or a bound variable equals it; `Err` names a free variable,
+/// for the caller to bind (or to reject).
+fn term_agrees<'t>(
+    term: &'t DataTerm,
+    val: &DataValue,
+    binding: &HashMap<String, DataValue>,
+) -> std::result::Result<bool, &'t String> {
+    match term {
+        DataTerm::Const(c) => Ok(c == val),
+        DataTerm::Var(v) => binding.get(v).map(|b| b == val).ok_or(v),
+    }
+}
+
 /// Unifies data terms with a tuple's data under `binding`: constants must
 /// match, bound variables must agree, and free variables are bound, each
 /// recorded in `bound` so the caller can undo them. On `false` some of
@@ -1505,17 +1517,13 @@ fn unify_data(
     bound: &mut Vec<String>,
 ) -> bool {
     for (term, val) in terms.iter().zip(values) {
-        match term {
-            DataTerm::Const(c) if c != val => return false,
-            DataTerm::Const(_) => {}
-            DataTerm::Var(v) => match binding.get(v) {
-                Some(b) if b != val => return false,
-                Some(_) => {}
-                None => {
-                    binding.insert(v.clone(), val.clone());
-                    bound.push(v.clone());
-                }
-            },
+        match term_agrees(term, val, binding) {
+            Ok(false) => return false,
+            Ok(true) => {}
+            Err(v) => {
+                binding.insert(v.clone(), val.clone());
+                bound.push(v.clone());
+            }
         }
     }
     true
@@ -1555,31 +1563,20 @@ fn finish(
     let mut zones = vec![zone];
     for (atom, rel) in clause.neg_body.iter().zip(neg_rels.iter()) {
         let mut forbidden: Vec<Zone> = Vec::new();
-        // Same narrowing as in `dfs`: under stratified negation every data
-        // variable is bound (analysis guarantees it), so a ground key almost
-        // always exists. When it does not, the full scan below raises the
-        // same unbound-variable error the seed did.
-        let candidates: Vec<&GeneralizedTuple> = match ground_data_key(&atom.data, &state.binding) {
-            Some(key) if use_index && !atom.data.is_empty() => rel.candidates(&key),
-            _ => rel.tuples().iter().collect(),
-        };
-        'tuples: for tuple in candidates {
+        // Under stratified negation every data variable is bound (analysis
+        // guarantees it), so the index narrows the scan almost always; a
+        // free variable makes the data test below an error.
+        'tuples: for tuple in data_candidates(rel, &atom.data, &state.binding, use_index) {
             // Data filter: constants and bound variables must agree for the
             // tuple to constrain anything.
-            for (pos, term) in atom.data.iter().enumerate() {
-                let val = &tuple.data()[pos];
-                let matches = match term {
-                    DataTerm::Const(c) => c == val,
-                    DataTerm::Var(v) => {
-                        state.binding.get(v).map(|b| b == val).ok_or_else(|| {
-                            Error::SchemaMismatch(format!(
-                                "data variable {v} under negation is unbound \
-                                 (analysis should have rejected this clause)"
-                            ))
-                        })?
-                    }
-                };
-                if !matches {
+            for (term, val) in atom.data.iter().zip(tuple.data()) {
+                let agrees = term_agrees(term, val, &state.binding).map_err(|v| {
+                    Error::SchemaMismatch(format!(
+                        "data variable {v} under negation is unbound \
+                         (analysis should have rejected this clause)"
+                    ))
+                })?;
+                if !agrees {
                     continue 'tuples;
                 }
             }

@@ -12,14 +12,15 @@
 //! rule problems[t1 + 2, t2 + 2](C) <- course[t1, t2](C).
 //! ```
 //!
-//! [`Service::model`] evaluates the program bottom-up **once**, on its
-//! first call, under one governor built from the server defaults, and
-//! keeps the result as a [`ResidentModel`]; every read is then a
-//! closed-form lookup ([`ResidentModel::answer`]) that reports how that
-//! one evaluation ended. [`Service::run_query`] is the oracle twin: it
-//! re-evaluates the program per call under its **own** governor (fuel and
-//! deadline from the request, falling back to the same defaults), so with
-//! equal budgets both paths produce byte-identical answers.
+//! [`Service::materialise`] evaluates the program bottom-up **once**
+//! under the server defaults and returns the result as a
+//! [`ResidentModel`]; the serve layer holds that model and answers every
+//! read as a closed-form lookup ([`ResidentModel::answer`]) that reports
+//! how that one evaluation ended. [`Service::run_query`] is the oracle
+//! twin: it re-evaluates the program per call under its **own** governor
+//! (fuel and deadline from the request, falling back to the same
+//! defaults), so with equal budgets both paths produce byte-identical
+//! answers.
 //!
 //! ## Statistics across a worker pool
 //!
@@ -48,7 +49,7 @@ use crate::resident::ResidentModel;
 use itdb_lrp::{parser as lrp_parser, Error, GeneralizedRelation, Result, Schema, TripReason};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// A parsed serving workload: the deductive program and its extensional
@@ -198,9 +199,8 @@ pub fn parse_workload_typed(text: &str) -> std::result::Result<Workload, Workloa
     Ok(Workload { program, edb })
 }
 
-/// Server-side resource ceilings: the budget of the one materialisation
-/// behind [`Service::model`], and of any [`Service::run_query`] call that
-/// brings none of its own.
+/// Server-side resource ceilings: the budget of [`Service::materialise`],
+/// and of any [`Service::run_query`] call that brings none of its own.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceDefaults {
     /// Derivation fuel (`None` = unlimited).
@@ -355,8 +355,8 @@ pub struct ServiceTotals {
     pub queries: u64,
     /// Queries answered with status `interrupted`.
     pub interrupted: u64,
-    /// Folded evaluation statistics: the one materialisation plus every
-    /// [`Service::run_query`] call. `strata` stays empty — per-stratum
+    /// Folded evaluation statistics: every [`Service::materialise`] and
+    /// every [`Service::run_query`] call. `strata` stays empty — per-stratum
     /// timing is a per-evaluation notion, not a fleet one.
     pub stats: EvalStats,
 }
@@ -376,20 +376,15 @@ pub struct Service {
     workload: Workload,
     defaults: ServiceDefaults,
     totals: Mutex<ServiceTotals>,
-    /// The workload's model, materialised by the first [`Self::model`]
-    /// call (or the error that materialisation hit).
-    model: OnceLock<Result<ResidentModel>>,
 }
 
 impl Service {
-    /// Wraps a workload with serving defaults. Evaluates nothing: the
-    /// model is materialised by the first read.
+    /// Wraps a workload with serving defaults. Evaluates nothing.
     pub fn new(workload: Workload, defaults: ServiceDefaults) -> Self {
         Service {
             workload,
             defaults,
             totals: Mutex::new(ServiceTotals::default()),
-            model: OnceLock::new(),
         }
     }
 
@@ -421,31 +416,25 @@ impl Service {
         }
     }
 
-    /// The workload's model. The first call evaluates the program once,
-    /// under the server defaults (the same options [`Self::run_query`]
-    /// uses for a request without its own budget), folds the evaluation's
-    /// statistics into the totals, and keeps the result; concurrent first
-    /// callers wait for it, and every later call is a lock-free read. The
-    /// `bool` is true for the one call that materialised the model. The
-    /// materialisation's events carry the caller's trace context.
-    pub fn model(&self) -> Result<(&ResidentModel, bool)> {
-        let mut built = false;
-        let model = self.model.get_or_init(|| {
-            built = true;
-            let opts = self.options(None, None);
-            let eval = evaluate_with(&self.workload.program, &self.workload.edb, &opts)?;
-            self.lock_totals().stats.absorb(&eval.stats);
-            ResidentModel::from_evaluation(
-                self.workload.program.clone(),
-                self.workload.edb.clone(),
-                opts,
-                eval,
-            )
-        });
-        match model {
-            Ok(m) => Ok((m, built)),
-            Err(e) => Err(e.clone()),
-        }
+    /// The workload's model: one evaluation under `opts`, with fuel and
+    /// deadline taken from the server defaults (the budget
+    /// [`Self::run_query`] gives a request without its own), whose
+    /// statistics fold into the totals. The evaluation's events carry the
+    /// caller's trace context.
+    pub fn materialise(&self, opts: &EvalOptions) -> Result<ResidentModel> {
+        let opts = EvalOptions {
+            max_derived_tuples: self.defaults.fuel,
+            timeout: self.defaults.timeout,
+            ..opts.clone()
+        };
+        let eval = evaluate_with(&self.workload.program, &self.workload.edb, &opts)?;
+        self.lock_totals().stats.absorb(&eval.stats);
+        ResidentModel::from_evaluation(
+            self.workload.program.clone(),
+            self.workload.edb.clone(),
+            opts,
+            eval,
+        )
     }
 
     /// Counts one answered read in the totals.
@@ -454,7 +443,7 @@ impl Service {
     }
 
     /// Answers one query by per-request evaluation — the oracle twin of
-    /// [`Self::model`] plus [`ResidentModel::answer`]: evaluate the
+    /// [`Self::materialise`] plus [`ResidentModel::answer`]: evaluate the
     /// program under a fresh governor, then run the pattern against the
     /// computed (or partial) model. Extensional predicates are served
     /// straight from the EDB.
@@ -618,14 +607,12 @@ mod tests {
     }
 
     /// The lookup path answers byte-identically to its per-request
-    /// oracle, materialises exactly once (and only on the first read),
-    /// and folds that one evaluation into the totals.
+    /// oracle, and the one evaluation behind it folds into the totals.
     #[test]
-    fn model_is_materialised_once_and_matches_run_query() {
+    fn materialised_model_matches_run_query() {
         let s = service(WORKLOAD);
         assert_eq!(s.totals().stats.tuples_derived, 0, "new evaluates nothing");
-        let (model, built) = s.model().unwrap();
-        assert!(built, "the first read materialises");
+        let model = s.materialise(&EvalOptions::default()).unwrap();
         let derived = s.totals().stats.tuples_derived;
         assert!(derived > 0);
         for pattern in ["problems[t, t + 2](database)", "course[t1, t2](C)"] {
@@ -634,14 +621,12 @@ mod tests {
             let prefix = |json: &str| json.split(",\"stats\":").next().unwrap().to_string();
             assert_eq!(prefix(&looked_up.to_json()), prefix(&evaluated.to_json()));
         }
-        let (_, built) = s.model().unwrap();
-        assert!(!built, "later reads reuse the model");
         let oracle_runs = 2;
         assert_eq!(s.totals().stats.tuples_derived, derived * (1 + oracle_runs));
     }
 
-    /// The server defaults budget the one materialisation, and its
-    /// status sticks to every answer.
+    /// The server defaults budget the materialisation over whatever the
+    /// caller's options say, and its status sticks to every answer.
     #[test]
     fn default_budget_governs_the_materialisation() {
         let starved = Service::new(
@@ -651,15 +636,18 @@ mod tests {
                 timeout: None,
             },
         );
-        let p = parse_atom("p[t]").unwrap();
-        for _ in 0..2 {
-            let resp = starved.model().unwrap().0.answer(&p).unwrap();
-            assert!(matches!(resp.status, QueryStatus::Interrupted(_)));
-            assert!(!resp.answers.is_empty());
-        }
-        let fed = service(DIVERGING);
-        assert_eq!(fed.model().unwrap().0.status(), &QueryStatus::Diverged);
-        assert!(service("rule p[t] <- ghost[t], !p[t].\n").model().is_err());
+        let generous = EvalOptions {
+            max_derived_tuples: Some(1_000_000),
+            ..EvalOptions::default()
+        };
+        let model = starved.materialise(&generous).unwrap();
+        let resp = model.answer(&parse_atom("p[t]").unwrap()).unwrap();
+        assert!(matches!(resp.status, QueryStatus::Interrupted(_)));
+        assert!(!resp.answers.is_empty());
+        let fed = service(DIVERGING).materialise(&EvalOptions::default());
+        assert_eq!(fed.unwrap().status(), &QueryStatus::Diverged);
+        let broken = service("rule p[t] <- ghost[t], !p[t].\n");
+        assert!(broken.materialise(&EvalOptions::default()).is_err());
     }
 
     #[test]

@@ -22,7 +22,12 @@
 //!    checks over data-carrying programs whose tuples have alternative
 //!    derivations, so the cone re-derive must re-insert inside the
 //!    over-deleted tuples (`guarded_rederive_equals_full_reeval_on_data`).
-//! 5. **Transactional rollback** — under arbitrarily tight governor
+//! 5. **Pass order in a mixed batch** — one batch retracts a tuple that
+//!    has an alternative derivation and asserts a data edge leaving the
+//!    value that comes back, so what the edge derives lies outside the
+//!    over-deleted tuples: only the seeded insert pass, run before the
+//!    over-delete, reaches it (`mixed_batch_reaches_past_the_guard`).
+//! 6. **Transactional rollback** — under arbitrarily tight governor
 //!    settings, a batch either applies identically on both incremental
 //!    twins or rolls back on both, leaving byte-identical state; the
 //!    final model always equals a fresh full evaluation over exactly
@@ -316,6 +321,85 @@ proptest! {
                     "{}: replay of {} must be byte-identical", dw.source, pred
                 );
             }
+        }
+    }
+}
+
+/// One mixed batch over the guarded re-derive's shape: `e` and `f` both
+/// derive `p` for the value `x` (`f`'s tuple lies inside `e`'s, so
+/// retracting `e` leaves an alternative derivation), `g` edges carry `p`
+/// along data, and `j` joins the two. The batch retracts the `e` tuple
+/// and asserts a `g` edge from `x` to `y` at `f`'s time points, in
+/// either order, beside a stored edge from `y` onward.
+#[derive(Debug, Clone)]
+struct MixedBatch {
+    edb: Database,
+    ops: Vec<Op>,
+}
+
+fn mixed_batch_strategy() -> impl Strategy<Value = MixedBatch> {
+    (
+        (0i64..6, 0u8..2, 0i64..4, 0u8..3),
+        (0u8..3, 1u8..3, 1u8..3),
+        (0u8..3, 0i64..24, 0u8..2),
+    )
+        .prop_map(
+            |((oe, pf_idx, m, pg_idx), (x, dy, dz), (ps_idx, os, assert_first))| {
+                let pf = [12i64, 24][pf_idx as usize];
+                let of = (oe + 6 * m) % pf;
+                let pg = [6i64, 12, 24][pg_idx as usize];
+                let ps = [6i64, 12, 24][ps_idx as usize];
+                let x = DATA[x as usize];
+                let y = DATA[(x.as_bytes()[0] - b'a' + dy) as usize % 3];
+                let z = DATA[(y.as_bytes()[0] - b'a' + dz) as usize % 3];
+                let mut edb = Database::new();
+                edb.insert_parsed("e", &format!("(6n+{oe}; {x})")).unwrap();
+                edb.insert_parsed("f", &format!("({pf}n+{of}; {x})"))
+                    .unwrap();
+                edb.insert_parsed("g", &format!("({ps}n+{}; {y}, {z})", os % ps))
+                    .unwrap();
+                let fact = |pred: &str, text: String| Fact {
+                    pred: pred.to_string(),
+                    tuple: parse_tuple(&text).unwrap(),
+                };
+                let retract = Op::Retract(fact("e", format!("(6n+{oe}; {x})")));
+                let assert = Op::Assert(fact("g", format!("({pg}n+{}; {x}, {y})", of % pg)));
+                let ops = if assert_first == 1 {
+                    vec![assert, retract]
+                } else {
+                    vec![retract, assert]
+                };
+                MixedBatch { edb, ops }
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A mixed batch whose assert reaches past the guarded re-derive
+    /// lands on the full re-evaluation's model, in cone mode.
+    #[test]
+    fn mixed_batch_reaches_past_the_guard(mb in mixed_batch_strategy()) {
+        let program = parse_program(
+            "p[t](X) <- e[t](X).\n\
+             p[t](X) <- f[t](X).\n\
+             p[t](Y) <- p[t](X), g[t](X, Y).\n\
+             j[t](X, Y) <- p[t](X), g[t](X, Y).\n",
+        )
+        .unwrap();
+        let mut cone = ResidentModel::new(program.clone(), mb.edb.clone(), opts(true)).unwrap();
+        let mut oracle = ResidentModel::new(program, mb.edb.clone(), opts(true)).unwrap();
+        let out = cone.apply_ops(&mb.ops).unwrap();
+        oracle.apply_ops_full_reeval(&mb.ops).unwrap();
+        prop_assert!(out.dred_cone && out.retracted == 1, "{:?}", out);
+        for (pred, rel) in cone.idb() {
+            let other = &oracle.idb()[pred];
+            prop_assert!(
+                rel.equivalent(other, 1_000_000).unwrap(),
+                "{} differs after {:?}\nincremental: {}\noracle: {}",
+                pred, mb.ops, rel, other
+            );
         }
     }
 }

@@ -1,14 +1,23 @@
-//! Streaming ingestion: the WAL-backed write path behind `POST /facts`.
+//! Streaming ingestion: the server's one model holder, and the write path
+//! behind `POST /facts`.
 //!
 //! Readers read the **published** model version: [`Ingest::with_model`]
 //! clones the published `Arc<ResidentModel>` and runs its closure with no
 //! lock held, so a `/query` never waits on a WAL append, an fsync or a
 //! DRed apply. Only writers are serialised.
 //!
+//! The WAL, the snapshot store and the checkpoint cadence are one
+//! optional durable part. [`Ingest::open`] has it: it recovers the model
+//! at boot and logs every batch. [`Ingest::in_memory`] has none: it
+//! materialises the model from the workload under the server defaults,
+//! and its batches, sequences and dedup window live in memory only. The
+//! write path is otherwise the same.
+//!
 //! ## Crash consistency
 //!
-//! Every accepted batch takes the same journey, under the writers' lock,
-//! so the durable log and the published model never disagree about order:
+//! With the durable part, every accepted batch takes the same journey,
+//! under the writers' lock, so the durable log and the published model
+//! never disagree about order:
 //!
 //! 1. **Dedup check** — a batch whose `X-Itdb-Request-Id` is still in the
 //!    dedup window is answered from the remembered outcome without
@@ -55,7 +64,8 @@
 
 use itdb_core::checkpoint::{load_latest_with, save};
 use itdb_core::{
-    ApplyError, EvalOptions, Fact, Op, QueryStatus, ResidentImage, ResidentModel, Workload,
+    ApplyError, ApplyOutcome, EvalOptions, Fact, Op, QueryStatus, ResidentImage, ResidentModel,
+    Service, Workload,
 };
 use itdb_lrp::parser::parse_tuple;
 use itdb_store::{ByteReader, ByteWriter, Section, SnapshotStore, Wal, WalOptions, WalStats};
@@ -80,7 +90,9 @@ const BATCH_VERSION: u8 = 2;
 const OP_ASSERT: u8 = 0;
 const OP_RETRACT: u8 = 1;
 
-/// Configuration for the streaming-ingestion subsystem.
+/// Configuration of the durable model holder ([`Ingest::open`]). The
+/// in-memory holder ([`Ingest::in_memory`]) takes [`IngestConfig::new`]'s
+/// defaults.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
     /// Directory holding the WAL segments and (under `checkpoint/`) the
@@ -251,8 +263,9 @@ pub struct IngestOutcome {
     pub duplicates: u64,
     /// Stored EDB tuples removed by retract operations.
     pub retracted: u64,
-    /// The WAL sequence the batch was logged at. `None` for a
-    /// deduplicated request — nothing was re-logged. (Sequences start at
+    /// The batch's sequence: the WAL sequence it was logged at, or
+    /// without a WAL its number among the applied batches. `None` for a
+    /// deduplicated request — nothing was re-applied. (Sequences start at
     /// 1, but `None` is the honest encoding: a fresh log's first record
     /// must stay distinguishable from "not logged".)
     pub seq: Option<u64>,
@@ -363,15 +376,50 @@ impl DedupWindow {
     }
 }
 
-/// Everything the writers' lock guards: the log, the dedup window, and
-/// the checkpoint cadence. The model is not here: readers take it from
-/// [`Ingest`]'s published slot.
+/// Everything the writers' lock guards: the dedup window, the applied
+/// sequence and the durable part. The model is not here: readers take it
+/// from [`Ingest`]'s published slot.
 struct IngestInner {
-    wal: Wal,
     dedup: DedupWindow,
-    store: SnapshotStore,
     applied_seq: u64,
+    durable: Option<Durable>,
+}
+
+/// The durable part: the log, the snapshot store and the checkpoint
+/// cadence.
+struct Durable {
+    wal: Wal,
+    store: SnapshotStore,
+    checkpoint_every: u64,
     records_since_checkpoint: u64,
+}
+
+/// Lifetime counters for `/metrics`, bumped without the writers' lock.
+#[derive(Default)]
+struct Counters {
+    facts_ingested: AtomicU64,
+    facts_duplicate: AtomicU64,
+    facts_retracted: AtomicU64,
+    retraction_overdeleted: AtomicU64,
+    retraction_rederived: AtomicU64,
+    batches_tripped: AtomicU64,
+    checkpoints_written: AtomicU64,
+    checkpoint_failures: AtomicU64,
+}
+
+impl Counters {
+    /// Counts one applied batch.
+    fn applied(&self, out: &ApplyOutcome) {
+        for (counter, n) in [
+            (&self.facts_ingested, out.applied),
+            (&self.facts_duplicate, out.duplicates),
+            (&self.facts_retracted, out.retracted),
+            (&self.retraction_overdeleted, out.overdeleted),
+            (&self.retraction_rederived, out.rederived),
+        ] {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
+    }
 }
 
 /// How boot recovery went (printed at startup, exported as metrics).
@@ -388,24 +436,17 @@ pub struct IngestBootReport {
     pub last_seq: u64,
 }
 
-/// The streaming-ingestion subsystem: WAL + dedup window behind the
-/// writers' lock, the published model version beside it, and lock-free
-/// counters for `/metrics`.
+/// The model holder: the dedup window and the optional durable part
+/// behind the writers' lock, the published model version beside it, and
+/// lock-free counters for `/metrics`.
 pub struct Ingest {
     inner: Mutex<IngestInner>,
     /// The published model version. Its lock is held only while the `Arc`
     /// is cloned or swapped, never while a model is read or built.
     published: Mutex<Arc<ResidentModel>>,
-    config: IngestConfig,
+    max_pending: u64,
     pending: AtomicU64,
-    facts_ingested: AtomicU64,
-    facts_duplicate: AtomicU64,
-    facts_retracted: AtomicU64,
-    retraction_overdeleted: AtomicU64,
-    retraction_rederived: AtomicU64,
-    batches_tripped: AtomicU64,
-    checkpoints_written: AtomicU64,
-    checkpoint_failures: AtomicU64,
+    counters: Counters,
     boot: IngestBootReport,
 }
 
@@ -469,10 +510,7 @@ impl Ingest {
                 )));
             }
         }
-        let (facts_ingested, facts_duplicate) = (AtomicU64::new(0), AtomicU64::new(0));
-        let facts_retracted = AtomicU64::new(0);
-        let retraction_overdeleted = AtomicU64::new(0);
-        let retraction_rederived = AtomicU64::new(0);
+        let counters = Counters::default();
         for record in &recovery.records {
             if record.seq <= applied_seq {
                 continue;
@@ -485,11 +523,7 @@ impl Ingest {
             }
             match model.apply_ops(&batch.ops) {
                 Ok(out) => {
-                    facts_ingested.fetch_add(out.applied, Ordering::Relaxed);
-                    facts_duplicate.fetch_add(out.duplicates, Ordering::Relaxed);
-                    facts_retracted.fetch_add(out.retracted, Ordering::Relaxed);
-                    retraction_overdeleted.fetch_add(out.overdeleted, Ordering::Relaxed);
-                    retraction_rederived.fetch_add(out.rederived, Ordering::Relaxed);
+                    counters.applied(&out);
                     dedup.insert(batch.request_id, out.applied, out.duplicates, out.retracted);
                 }
                 // The live path answered this batch 422/503 and moved on;
@@ -518,26 +552,46 @@ impl Ingest {
         // Durably seal recovery: everything replayed is already on disk,
         // but the truncation of a torn tail must be too.
         wal.flush().map_err(io::Error::other)?;
+        let durable = Durable {
+            wal,
+            store,
+            checkpoint_every: config.checkpoint_every,
+            records_since_checkpoint: 0,
+        };
         Ok(Ingest {
             inner: Mutex::new(IngestInner {
-                wal,
                 dedup,
-                store,
                 applied_seq,
-                records_since_checkpoint: 0,
+                durable: Some(durable),
             }),
             published: Mutex::new(Arc::new(model)),
-            config,
+            max_pending: config.max_pending,
             pending: AtomicU64::new(0),
-            facts_ingested,
-            facts_duplicate,
-            facts_retracted,
-            retraction_overdeleted,
-            retraction_rederived,
-            batches_tripped: AtomicU64::new(0),
-            checkpoints_written: AtomicU64::new(0),
-            checkpoint_failures: AtomicU64::new(0),
+            counters,
             boot,
+        })
+    }
+
+    /// The subsystem without a WAL: the service's workload materialised
+    /// now ([`Service::materialise`]) under [`IngestConfig::new`]'s
+    /// evaluation options, with the service defaults' fuel and deadline.
+    /// Nothing is replayed, so a deadline is allowed, and a workload that
+    /// diverges or trips is kept as its sound partial model: it answers
+    /// reads with that status and refuses writes. Opens no files.
+    pub fn in_memory(service: &Service) -> itdb_lrp::Result<Ingest> {
+        let config = IngestConfig::new(PathBuf::new());
+        let model = service.materialise(&config.eval)?;
+        Ok(Ingest {
+            inner: Mutex::new(IngestInner {
+                dedup: DedupWindow::new(config.dedup_window),
+                applied_seq: 0,
+                durable: None,
+            }),
+            published: Mutex::new(Arc::new(model)),
+            max_pending: config.max_pending,
+            pending: AtomicU64::new(0),
+            counters: Counters::default(),
+            boot: IngestBootReport::default(),
         })
     }
 
@@ -571,51 +625,52 @@ impl Ingest {
 
     /// Total EDB tuples newly inserted via `POST /facts`.
     pub fn facts_ingested(&self) -> u64 {
-        self.facts_ingested.load(Ordering::Relaxed)
+        self.counters.facts_ingested.load(Ordering::Relaxed)
     }
 
     /// Total EDB tuples answered as duplicates (subsumed or re-sent).
     pub fn facts_duplicate(&self) -> u64 {
-        self.facts_duplicate.load(Ordering::Relaxed)
+        self.counters.facts_duplicate.load(Ordering::Relaxed)
     }
 
     /// Total stored EDB tuples removed by retract operations.
     pub fn facts_retracted(&self) -> u64 {
-        self.facts_retracted.load(Ordering::Relaxed)
+        self.counters.facts_retracted.load(Ordering::Relaxed)
     }
 
     /// Total IDB tuples removed by DRed over-deletes.
     pub fn retraction_overdeleted(&self) -> u64 {
-        self.retraction_overdeleted.load(Ordering::Relaxed)
+        self.counters.retraction_overdeleted.load(Ordering::Relaxed)
     }
 
     /// Total IDB tuples re-inserted by DRed re-derives.
     pub fn retraction_rederived(&self) -> u64 {
-        self.retraction_rederived.load(Ordering::Relaxed)
+        self.counters.retraction_rederived.load(Ordering::Relaxed)
     }
 
     /// Batches refused with a governor trip (never published).
     pub fn batches_tripped(&self) -> u64 {
-        self.batches_tripped.load(Ordering::Relaxed)
+        self.counters.batches_tripped.load(Ordering::Relaxed)
     }
 
     /// Resident checkpoints written (each also compacted the WAL).
     pub fn checkpoints_written(&self) -> u64 {
-        self.checkpoints_written.load(Ordering::Relaxed)
+        self.counters.checkpoints_written.load(Ordering::Relaxed)
     }
 
     /// Checkpoint writes that failed (ingestion continues on the WAL).
     pub fn checkpoint_failures(&self) -> u64 {
-        self.checkpoint_failures.load(Ordering::Relaxed)
+        self.counters.checkpoint_failures.load(Ordering::Relaxed)
     }
 
-    /// A snapshot of the WAL's counters (appends, fsyncs, live bytes).
-    pub fn wal_stats(&self) -> WalStats {
-        self.lock().wal.stats()
+    /// A snapshot of the WAL's counters (appends, fsyncs, live bytes);
+    /// `None` without a WAL.
+    pub fn wal_stats(&self) -> Option<WalStats> {
+        self.lock().durable.as_ref().map(|d| d.wal.stats())
     }
 
     /// Runs `f` with the published model version — the closed-form read
-    /// path for `/query` in ingest mode. No lock is held while `f` runs; a
+    /// path for `/query`. No lock is held while `f` runs; a
     /// batch published meanwhile leaves the version `f` reads as it was.
     pub fn with_model<T>(&self, f: impl FnOnce(&ResidentModel) -> T) -> T {
         f(&self.current())
@@ -643,18 +698,20 @@ impl Ingest {
 
     /// The full ingest pipeline for one request: backpressure check,
     /// dedup, WAL append (durable per policy), successor, publish,
-    /// checkpoint cadence. See the module docs for the ordering argument.
+    /// checkpoint cadence. Without a WAL the append and the cadence are
+    /// skipped. See the module docs for the ordering argument.
     pub fn submit(&self, request_id: &str, ops: Vec<Op>) -> Result<IngestOutcome, IngestError> {
         let depth = self.pending.fetch_add(1, Ordering::Relaxed) + 1;
         let _guard = PendingGuard(&self.pending);
-        if depth > self.config.max_pending {
+        if depth > self.max_pending {
             return Err(IngestError::Backpressure {
-                retry_after_s: (depth / self.config.max_pending).clamp(1, 30),
+                retry_after_s: (depth / self.max_pending).clamp(1, 30),
             });
         }
         let mut inner = self.lock();
         if let Some((applied, duplicates, retracted)) = inner.dedup.get(request_id) {
-            self.facts_duplicate
+            self.counters
+                .facts_duplicate
                 .fetch_add(ops.len() as u64, Ordering::Relaxed);
             return Ok(IngestOutcome {
                 applied,
@@ -668,22 +725,26 @@ impl Ingest {
             request_id: request_id.to_string(),
             ops,
         };
-        let payload = encode_batch(&batch);
-        let seq = inner
-            .wal
-            .append(&payload)
-            .map_err(|e| IngestError::Wal(e.to_string()))?;
+        let seq = match &mut inner.durable {
+            Some(d) => d
+                .wal
+                .append(&encode_batch(&batch))
+                .map_err(|e| IngestError::Wal(e.to_string()))?,
+            None => inner.applied_seq + 1,
+        };
         let (next, out) = match self.current().successor(&batch.ops) {
             Ok(done) => done,
             // The record stays in the log either way; replay reproduces
             // the same deterministic decision, so the model and the log
             // still agree.
             Err(ApplyError::Invalid(e)) => return Err(IngestError::Rejected(e.to_string())),
-            // Unreachable from a booted subsystem (`open` refuses partial
-            // models), but still a deterministic refusal, never a panic.
+            // A model materialised without a WAL that diverged or tripped
+            // (`open` refuses partial models): a deterministic refusal.
             Err(e @ ApplyError::Incomplete(_)) => return Err(IngestError::Rejected(e.to_string())),
             Err(ApplyError::RolledBack(e)) => {
-                self.batches_tripped.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .batches_tripped
+                    .fetch_add(1, Ordering::Relaxed);
                 return Err(IngestError::Tripped {
                     retry_after_s: 1,
                     reason: e.to_string(),
@@ -696,28 +757,21 @@ impl Ingest {
         let previous = std::mem::replace(&mut *self.slot(), Arc::clone(&next));
         drop(previous);
         inner.applied_seq = seq;
-        inner.records_since_checkpoint += 1;
         inner
             .dedup
             .insert(batch.request_id, out.applied, out.duplicates, out.retracted);
-        self.facts_ingested
-            .fetch_add(out.applied, Ordering::Relaxed);
-        self.facts_duplicate
-            .fetch_add(out.duplicates, Ordering::Relaxed);
-        self.facts_retracted
-            .fetch_add(out.retracted, Ordering::Relaxed);
-        self.retraction_overdeleted
-            .fetch_add(out.overdeleted, Ordering::Relaxed);
-        self.retraction_rederived
-            .fetch_add(out.rederived, Ordering::Relaxed);
+        self.counters.applied(&out);
         itdb_trace::emit(|| EventKind::FactsIngested {
             seq,
             applied: out.applied,
             duplicates: out.duplicates,
             full_reeval: out.full_reeval,
         });
-        if inner.records_since_checkpoint >= self.config.checkpoint_every {
-            self.checkpoint_locked(&mut inner, &next);
+        if let Some(d) = &mut inner.durable {
+            d.records_since_checkpoint += 1;
+            if d.records_since_checkpoint >= d.checkpoint_every {
+                self.checkpoint_locked(&mut inner, &next);
+            }
         }
         Ok(IngestOutcome {
             applied: out.applied,
@@ -735,29 +789,34 @@ impl Ingest {
     /// leave surplus log, never a gap. Failure is survivable — the WAL
     /// still holds everything — so it is counted, not propagated.
     fn checkpoint_locked(&self, inner: &mut IngestInner, model: &ResidentModel) {
+        let Some(d) = &mut inner.durable else { return };
         let mut sections = model.snapshot_sections(inner.applied_seq);
         sections.push(inner.dedup.encode_section());
-        match save(&inner.store, &sections) {
+        // Either way the next attempt waits another full cadence: a
+        // failure backs off rather than retrying on every batch.
+        d.records_since_checkpoint = 0;
+        match save(&d.store, &sections) {
             Ok(_) => {
-                self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-                inner.records_since_checkpoint = 0;
-                let seq = inner.applied_seq;
-                let _ = inner.wal.compact_through(seq);
+                self.counters
+                    .checkpoints_written
+                    .fetch_add(1, Ordering::Relaxed);
+                let _ = d.wal.compact_through(inner.applied_seq);
             }
             Err(_) => {
-                self.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
-                // Back off: retry after another full cadence, not on
-                // every subsequent batch.
-                inner.records_since_checkpoint = 0;
+                self.counters
+                    .checkpoint_failures
+                    .fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    /// Forces a checkpoint now (graceful shutdown).
+    /// Forces a checkpoint now (graceful shutdown). Does nothing without
+    /// a WAL.
     pub fn flush(&self) {
         let mut inner = self.lock();
-        let _ = inner.wal.flush();
-        if inner.records_since_checkpoint > 0 {
+        let Some(d) = &mut inner.durable else { return };
+        let _ = d.wal.flush();
+        if d.records_since_checkpoint > 0 {
             self.checkpoint_locked(&mut inner, &self.current());
         }
     }

@@ -9,8 +9,8 @@
 //! |-----------------|-------------------------------------------------------|
 //! | `GET /healthz`  | liveness probe, `200 ok`                              |
 //! | `GET /metrics`  | Prometheus text: engine counters + HTTP families      |
-//! | `POST /query`   | body = query pattern, answered from the materialised model (without a WAL the first `/query` materialises it under the server's `--fuel`/`--timeout-ms`); `X-Itdb-Request-Id` honored or generated, echoed in JSON and headers; JSON answer with the model's status `complete` / `diverged` / `interrupted` |
-//! | `POST /facts`   | with a WAL only: durably log a batch of assert/retract operations and apply it to the resident model |
+//! | `POST /query`   | body = query pattern, answered from the materialised model (without a WAL the first `/query` or `/facts` materialises it under the server's `--fuel`/`--timeout-ms`); `X-Itdb-Request-Id` honored or generated, echoed in JSON and headers; JSON answer with the model's status `complete` / `diverged` / `interrupted` |
+//! | `POST /facts`   | apply a batch of assert/retract operations to the resident model, logged durably first with a WAL |
 //! | `GET /events`   | live JSONL stream of trace events (chunked), bounded per-client queues, served by dedicated streamer threads |
 //! | `GET /debug/flight` | flight-recorder snapshot: live per-thread event rings + dumps retained from trips/panics/sheds |
 //! | `GET /debug/profile` | per-route span-profile aggregates |

@@ -14,10 +14,10 @@
 //! `itdb_events_streamers` gauge), so a long-lived subscriber never
 //! occupies a query worker.
 //!
-//! Reads never wait for writes. With a WAL, `POST /facts` writers are
-//! serialised among themselves inside [`Ingest`], and each publishes the
-//! next model version with one swap; a `/query` reads the version
-//! published when it started and holds no lock while it answers.
+//! Reads never wait for writes. `POST /facts` writers are serialised
+//! among themselves inside [`Ingest`], and each publishes the next model
+//! version with one swap; a `/query` reads the version published when it
+//! started and holds no lock while it answers.
 //!
 //! ## Per-request observability
 //!
@@ -56,17 +56,18 @@
 //!
 //! Every `/query` is a closed-form lookup in a materialised model
 //! ([`itdb_core::ResidentModel::answer`]); no request evaluates anything
-//! of its own. With a WAL the model is the ingest subsystem's resident
-//! model, built at boot and maintained by `POST /facts`. Without one it
-//! is [`itdb_core::Service::model`]: the **first** `/query` evaluates the
-//! workload once under `defaults` (fuel, deadline) and every later read
-//! shares the result, so `bind` itself evaluates nothing. A workload that
-//! diverges or trips that one budget is served as its sound partial
-//! model, and every answer carries that status until restart; the read
-//! that tripped captures the `governor_trip` flight dump.
+//! of its own. The model has one holder, [`Ingest`], which `POST /facts`
+//! maintains; the WAL only decides whether that holder is durable. With
+//! a WAL, boot recovery builds the model. Without one, the **first**
+//! `/query` or `/facts` evaluates the workload once under `defaults`
+//! (fuel, deadline) and every later request shares the result, so
+//! `bind` itself evaluates nothing. A workload that diverges or trips
+//! that one budget is served as its sound partial model: every answer
+//! carries that status until restart, every write is refused with `422`,
+//! and the request that tripped captures the `governor_trip` flight dump.
 //!
 //! The lookup is the atom kernel (`itdb_lrp::pattern`) through
-//! [`itdb_core::query`]: a pattern whose data terms are all constants
+//! [`itdb_core::query()`]: a pattern whose data terms are all constants
 //! scans only that data vector's index bucket. The whole lookup runs under
 //! the request's id, so its `index_lookup` events, and a first read's
 //! materialisation, carry the id.
@@ -94,7 +95,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -120,8 +121,9 @@ pub struct ServeConfig {
     /// Socket write timeout (response writing, per write).
     pub write_timeout: Duration,
     /// Budget (fuel, deadline) of the one materialisation the first
-    /// `/query` runs when there is no WAL. Unused with `ingest` set: the
-    /// resident model is evaluated under `IngestConfig::eval`.
+    /// `/query` or `/facts` runs when there is no WAL, and of every batch
+    /// applied to that model. Unused with `ingest` set: the model is then
+    /// evaluated under `IngestConfig::eval`.
     pub defaults: ServiceDefaults,
     /// Bounded per-subscriber `/events` queue depth; a stalled client
     /// loses events (counted) instead of stalling evaluation.
@@ -149,11 +151,11 @@ pub struct ServeConfig {
     pub flight_capacity: usize,
     /// Print one structured JSONL access-log line per request to stdout.
     pub access_log: bool,
-    /// Streaming ingestion (`POST /facts`): WAL directory, flush policy,
-    /// dedup window and checkpoint cadence. `None` = read-only serving
-    /// from a model the first read materialises; `Some` keeps a resident
-    /// model, built at boot and maintained incrementally, and answers
-    /// reads from it.
+    /// Durability for the model holder: WAL directory, flush policy,
+    /// dedup window and checkpoint cadence. `Some` builds the model at
+    /// boot, from checkpoint plus log, and logs every `POST /facts`
+    /// batch. `None` keeps everything in memory: the first read or write
+    /// materialises the model, and a restart forgets the batches.
     pub ingest: Option<IngestConfig>,
     /// Fault-injection schedule (chaos testing only).
     #[cfg(feature = "chaos")]
@@ -194,7 +196,9 @@ pub struct Server {
     fanout: Arc<FanoutSink>,
     metrics: Arc<HttpMetrics>,
     admission: Arc<AdmissionControl>,
-    ingest: Option<Arc<Ingest>>,
+    /// The one model holder, or the error building it hit: opened at bind
+    /// with a WAL, built by the first read or write without one.
+    ingest: OnceLock<itdb_lrp::Result<Arc<Ingest>>>,
     debug: Arc<DebugState>,
     #[cfg(feature = "chaos")]
     chaos: Option<Arc<Chaos>>,
@@ -217,8 +221,8 @@ impl Server {
         // request: restore the newest resident checkpoint, replay the WAL
         // past it, and only then expose the model to reads and writes.
         let ingest = match &config.ingest {
-            Some(ic) => Some(Arc::new(Ingest::open(ic.clone(), &workload)?)),
-            None => None,
+            Some(ic) => OnceLock::from(Ok(Arc::new(Ingest::open(ic.clone(), &workload)?))),
+            None => OnceLock::new(),
         };
         let service = Arc::new(Service::new(workload, config.defaults.clone()));
         let admission = Arc::new(AdmissionControl::new(config.workers.max(1)));
@@ -241,10 +245,11 @@ impl Server {
         })
     }
 
-    /// The streaming-ingestion subsystem, when `config.ingest` was set
-    /// (for tests and embedding).
+    /// The model holder, once built: from `bind` on with a WAL; without
+    /// one only after a request built it, so never before `run` (for
+    /// tests and embedding).
     pub fn ingest(&self) -> Option<&Arc<Ingest>> {
-        self.ingest.as_ref()
+        self.ingest.get()?.as_ref().ok()
     }
 
     /// The bound address (resolves port `0` to the actual port).
@@ -252,8 +257,8 @@ impl Server {
         self.local_addr
     }
 
-    /// The query service: the workload, its lazily materialised model, and
-    /// the serving totals (for tests and embedding).
+    /// The query service: the workload, the serving defaults, and the
+    /// serving totals (for tests and embedding).
     pub fn service(&self) -> &Arc<Service> {
         &self.service
     }
@@ -271,7 +276,7 @@ impl Server {
             fanout: Arc::clone(&self.fanout),
             metrics: Arc::clone(&self.metrics),
             admission: Arc::clone(&self.admission),
-            ingest: self.ingest.clone(),
+            ingest: self.ingest,
             debug: Arc::clone(&self.debug),
             streamers: Mutex::new(Vec::new()),
             #[cfg(feature = "chaos")]
@@ -347,7 +352,7 @@ impl Server {
         for handle in streamers {
             let _ = handle.join();
         }
-        if let Some(i) = &self.ingest {
+        if let Some(Ok(i)) = ctx.ingest.get() {
             // Graceful shutdown earns a checkpoint; a crash leans on the
             // WAL instead.
             i.flush();
@@ -371,7 +376,7 @@ struct WorkerCtx {
     fanout: Arc<FanoutSink>,
     metrics: Arc<HttpMetrics>,
     admission: Arc<AdmissionControl>,
-    ingest: Option<Arc<Ingest>>,
+    ingest: OnceLock<itdb_lrp::Result<Arc<Ingest>>>,
     debug: Arc<DebugState>,
     /// Dedicated `/events` streamer threads, joined at shutdown.
     streamers: Mutex<Vec<JoinHandle<()>>>,
@@ -379,6 +384,25 @@ struct WorkerCtx {
     chaos: Option<Arc<Chaos>>,
     config: ServeConfig,
     shutdown: CancelToken,
+}
+
+impl WorkerCtx {
+    /// The model holder. Without a WAL the first call builds it, under the
+    /// caller's trace context ([`Ingest::in_memory`]); concurrent first
+    /// callers wait for it. A build that trips its budget captures the
+    /// `governor_trip` flight dump, attributed to `request_id`.
+    fn holder(&self, request_id: &str) -> itdb_lrp::Result<&Ingest> {
+        let mut built = false;
+        let held = self.ingest.get_or_init(|| {
+            built = true;
+            Ingest::in_memory(&self.service).map(Arc::new)
+        });
+        let ingest = held.as_ref().map_err(Clone::clone)?;
+        if built && ingest.with_model(|m| matches!(m.status(), QueryStatus::Interrupted(_))) {
+            self.debug.capture_dump("governor_trip", Some(request_id));
+        }
+        Ok(ingest)
+    }
 }
 
 fn spawn_worker(
@@ -435,11 +459,10 @@ fn serve_connection(worker: u64, conn: QueuedConn, ctx: &Arc<WorkerCtx>) {
                 http::read_request_deadline(&mut BufReader::new(clone), ctx.config.header_deadline);
         }
         let retry = retry_after_s.to_string();
-        let _ = http::write_response_with(
+        write_error(
             &mut stream,
             503,
-            "application/json",
-            &json_error("overloaded: queue deadline would expire, retry later"),
+            "overloaded: queue deadline would expire, retry later",
             false,
             &[("Retry-After", retry.as_str())],
         );
@@ -468,12 +491,7 @@ fn serve_connection(worker: u64, conn: QueuedConn, ctx: &Arc<WorkerCtx>) {
             let _ =
                 http::read_request_deadline(&mut BufReader::new(clone), ctx.config.header_deadline);
         }
-        let _ = http::write_response(
-            &mut stream,
-            500,
-            "application/json",
-            &json_error("chaos: worker killed"),
-        );
+        write_error(&mut stream, 500, "chaos: worker killed", false, &[]);
         ctx.metrics.record("-", "(chaos-kill)", 500, Duration::ZERO);
         panic!("chaos: scheduled worker death");
     }
@@ -500,11 +518,12 @@ fn serve_connection(worker: u64, conn: QueuedConn, ctx: &Arc<WorkerCtx>) {
             let _ = w.set_read_timeout(Some(Duration::from_millis(100)));
             let mut buf = [0u8; 4096];
             while matches!(io::Read::read(&mut w, &mut buf), Ok(n) if n > 0) {}
-            let _ = http::write_response(
+            write_error(
                 &mut w,
                 500,
-                "application/json",
-                &json_error("internal error: request handler panicked"),
+                "internal error: request handler panicked",
+                false,
+                &[],
             );
         }
     }
@@ -520,12 +539,28 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn json_error(msg: &str) -> Vec<u8> {
-    let mut out = String::with_capacity(msg.len() + 16);
-    out.push_str("{\"error\":\"");
-    itdb_trace::json::escape_into(msg, &mut out);
-    out.push_str("\"}");
-    out.into_bytes()
+/// Answers `status` with `{"error":msg}` as the JSON body; returns
+/// `status`.
+fn write_error(
+    w: &mut impl Write,
+    status: u16,
+    msg: &str,
+    keep: bool,
+    headers: &[(&str, &str)],
+) -> u16 {
+    let mut body = String::with_capacity(msg.len() + 16);
+    body.push_str("{\"error\":\"");
+    itdb_trace::json::escape_into(msg, &mut body);
+    body.push_str("\"}");
+    let _ = http::write_response_with(
+        w,
+        status,
+        "application/json",
+        body.as_bytes(),
+        keep,
+        headers,
+    );
+    status
 }
 
 /// Known routes, for metric labels and the in-flight table.
@@ -580,12 +615,7 @@ fn handle_connection(stream: TcpStream, ctx: &Arc<WorkerCtx>) {
             Err(ParseError::Io(_)) if served > 0 => return,
             Err(e) => {
                 let status = e.status();
-                let _ = http::write_response(
-                    &mut writer,
-                    status,
-                    "application/json",
-                    &json_error(&e.to_string()),
-                );
+                write_error(&mut writer, status, &e.to_string(), false, &[]);
                 ctx.metrics
                     .record("-", "(parse-error)", status, started.elapsed());
                 return;
@@ -625,30 +655,14 @@ fn handle_connection(stream: TcpStream, ctx: &Arc<WorkerCtx>) {
                 _,
                 "/healthz" | "/metrics" | "/query" | "/facts" | "/events" | "/debug/flight"
                 | "/debug/profile" | "/debug/requests",
-            ) => {
-                let body = json_error("method not allowed");
-                let _ = http::write_response_with(
-                    &mut writer,
-                    405,
-                    "application/json",
-                    &body,
-                    keep,
-                    &[],
-                );
-                405
-            }
-            _ => {
-                let body = json_error(&format!("no such endpoint `{path}`"));
-                let _ = http::write_response_with(
-                    &mut writer,
-                    404,
-                    "application/json",
-                    &body,
-                    keep,
-                    &[],
-                );
-                404
-            }
+            ) => write_error(&mut writer, 405, "method not allowed", keep, &[]),
+            _ => write_error(
+                &mut writer,
+                404,
+                &format!("no such endpoint `{path}`"),
+                keep,
+                &[],
+            ),
         };
         drop(inflight);
         let elapsed = started.elapsed();
@@ -786,89 +800,8 @@ fn serve_metrics(w: &mut impl Write, ctx: &WorkerCtx, keep: bool) -> u16 {
         "gauge",
         &in_flight_samples,
     );
-    if let Some(ingest) = &ctx.ingest {
-        let ws = ingest.wal_stats();
-        let boot = ingest.boot_report();
-        p.counter(
-            "itdb_facts_ingested_total",
-            "Facts accepted and applied through POST /facts (duplicates excluded).",
-            ingest.facts_ingested(),
-        );
-        p.counter(
-            "itdb_facts_duplicate_total",
-            "Facts skipped as duplicates (already-present tuples or replayed request ids).",
-            ingest.facts_duplicate(),
-        );
-        p.counter(
-            "itdb_facts_retracted_total",
-            "Stored EDB tuples removed by retract operations through POST /facts.",
-            ingest.facts_retracted(),
-        );
-        p.counter(
-            "itdb_retraction_overdeleted_total",
-            "Derived tuples removed by the DRed over-delete phase.",
-            ingest.retraction_overdeleted(),
-        );
-        p.counter(
-            "itdb_retraction_rederived_total",
-            "Derived tuples restored by the DRed re-derive phase.",
-            ingest.retraction_rederived(),
-        );
-        let overdeleted = ingest.retraction_overdeleted();
-        p.gauge(
-            "itdb_retraction_overdeletion_ratio",
-            "Re-derived / over-deleted tuples: how much of the deletion cone survived (1.0 = pure churn, 0.0 = every over-delete was final).",
-            if overdeleted == 0 {
-                0.0
-            } else {
-                ingest.retraction_rederived() as f64 / overdeleted as f64
-            },
-        );
-        p.counter(
-            "itdb_ingest_batches_tripped_total",
-            "Ingest batches refused with a governor trip and rolled back.",
-            ingest.batches_tripped(),
-        );
-        p.counter(
-            "itdb_wal_appends_total",
-            "Records appended to the write-ahead log.",
-            ws.appends,
-        );
-        p.counter(
-            "itdb_wal_fsyncs_total",
-            "fsync calls issued by the write-ahead log.",
-            ws.fsyncs,
-        );
-        p.counter(
-            "itdb_wal_replayed_records_total",
-            "WAL records replayed into the resident model at boot.",
-            boot.replayed_records,
-        );
-        p.counter(
-            "itdb_wal_truncated_tails_total",
-            "Torn WAL tails truncated during recovery.",
-            ws.truncated_tails,
-        );
-        p.gauge(
-            "itdb_wal_segment_bytes",
-            "Bytes in the active WAL segment.",
-            ws.segment_bytes as f64,
-        );
-        p.gauge(
-            "itdb_ingest_queue_depth",
-            "POST /facts requests admitted but not yet applied.",
-            ingest.pending() as f64,
-        );
-        p.counter(
-            "itdb_ingest_checkpoint_writes_total",
-            "Resident-model checkpoints folded out of the WAL.",
-            ingest.checkpoints_written(),
-        );
-        p.counter(
-            "itdb_ingest_checkpoint_failures_total",
-            "Resident-model checkpoint writes that failed (WAL retained).",
-            ingest.checkpoint_failures(),
-        );
+    if let Some(Ok(ingest)) = ctx.ingest.get() {
+        write_ingest_metrics(&mut p, ingest);
     }
     ctx.metrics.write_into(&mut p);
     let body = p.finish();
@@ -883,6 +816,92 @@ fn serve_metrics(w: &mut impl Write, ctx: &WorkerCtx, keep: bool) -> u16 {
     200
 }
 
+/// The model holder's families: facts and retractions always, the WAL's
+/// only with one.
+fn write_ingest_metrics(p: &mut PromText, ingest: &Ingest) {
+    p.counter(
+        "itdb_facts_ingested_total",
+        "Facts accepted and applied through POST /facts (duplicates excluded).",
+        ingest.facts_ingested(),
+    );
+    p.counter(
+        "itdb_facts_duplicate_total",
+        "Facts skipped as duplicates (already-present tuples or replayed request ids).",
+        ingest.facts_duplicate(),
+    );
+    p.counter(
+        "itdb_facts_retracted_total",
+        "Stored EDB tuples removed by retract operations through POST /facts.",
+        ingest.facts_retracted(),
+    );
+    p.counter(
+        "itdb_retraction_overdeleted_total",
+        "Derived tuples removed by the DRed over-delete phase.",
+        ingest.retraction_overdeleted(),
+    );
+    p.counter(
+        "itdb_retraction_rederived_total",
+        "Derived tuples restored by the DRed re-derive phase.",
+        ingest.retraction_rederived(),
+    );
+    let overdeleted = ingest.retraction_overdeleted();
+    p.gauge(
+        "itdb_retraction_overdeletion_ratio",
+        "Re-derived / over-deleted tuples: how much of the deletion cone survived (1.0 = pure churn, 0.0 = every over-delete was final).",
+        if overdeleted == 0 {
+            0.0
+        } else {
+            ingest.retraction_rederived() as f64 / overdeleted as f64
+        },
+    );
+    p.counter(
+        "itdb_ingest_batches_tripped_total",
+        "Ingest batches refused with a governor trip and rolled back.",
+        ingest.batches_tripped(),
+    );
+    p.gauge(
+        "itdb_ingest_queue_depth",
+        "POST /facts requests admitted but not yet applied.",
+        ingest.pending() as f64,
+    );
+    let Some(ws) = ingest.wal_stats() else { return };
+    p.counter(
+        "itdb_wal_appends_total",
+        "Records appended to the write-ahead log.",
+        ws.appends,
+    );
+    p.counter(
+        "itdb_wal_fsyncs_total",
+        "fsync calls issued by the write-ahead log.",
+        ws.fsyncs,
+    );
+    p.counter(
+        "itdb_wal_replayed_records_total",
+        "WAL records replayed into the resident model at boot.",
+        ingest.boot_report().replayed_records,
+    );
+    p.counter(
+        "itdb_wal_truncated_tails_total",
+        "Torn WAL tails truncated during recovery.",
+        ws.truncated_tails,
+    );
+    p.gauge(
+        "itdb_wal_segment_bytes",
+        "Bytes in the active WAL segment.",
+        ws.segment_bytes as f64,
+    );
+    p.counter(
+        "itdb_ingest_checkpoint_writes_total",
+        "Resident-model checkpoints folded out of the WAL.",
+        ingest.checkpoints_written(),
+    );
+    p.counter(
+        "itdb_ingest_checkpoint_failures_total",
+        "Resident-model checkpoint writes that failed (WAL retained).",
+        ingest.checkpoint_failures(),
+    );
+}
+
 fn serve_query(
     w: &mut impl Write,
     req: &Request,
@@ -894,27 +913,15 @@ fn serve_query(
     let pattern = match std::str::from_utf8(&req.body) {
         Ok(s) if !s.trim().is_empty() => s.trim(),
         Ok(_) => {
-            let _ = http::write_response_with(
+            return write_error(
                 w,
                 400,
-                "application/json",
-                &json_error("empty body: POST the query pattern, e.g. `p[t](X)`"),
+                "empty body: POST the query pattern, e.g. `p[t](X)`",
                 keep,
                 &id_header,
             );
-            return 400;
         }
-        Err(_) => {
-            let _ = http::write_response_with(
-                w,
-                400,
-                "application/json",
-                &json_error("body is not valid UTF-8"),
-                keep,
-                &id_header,
-            );
-            return 400;
-        }
+        Err(_) => return write_error(w, 400, "body is not valid UTF-8", keep, &id_header),
     };
     // Span profiling per request: feeds the /debug/profile aggregate and
     // the slow-query log. Timing only — answers are byte-identical with
@@ -925,22 +932,16 @@ fn serve_query(
         // The read's trace context: the lookup's `index_lookup` events and
         // a first read's materialisation carry the request id.
         let _ctx = itdb_trace::context::set_request_id(request_id);
-        answer(ctx, pattern)
+        answer(ctx, pattern, request_id)
     };
     itdb_trace::set_profiling(false);
     let profile = itdb_trace::take_profile();
     let elapsed = started.elapsed();
     ctx.debug.record_profile("/query", &profile);
     match result {
-        Ok((mut resp, materialised)) => {
+        Ok(mut resp) => {
             resp.request_id = Some(request_id.to_string());
             ctx.service.count_answer(&resp.status);
-            if materialised && matches!(resp.status, QueryStatus::Interrupted(_)) {
-                // The read whose materialisation tripped is exactly when
-                // an operator asks "what was it doing": freeze every
-                // worker's ring.
-                ctx.debug.capture_dump("governor_trip", Some(request_id));
-            }
             if let Some(ms) = ctx.config.slow_query_ms {
                 if elapsed >= Duration::from_millis(ms) {
                     ctx.debug.record_slow(
@@ -966,36 +967,19 @@ fn serve_query(
         Err(e) => {
             // Pattern and lookup rejections (bad pattern, unknown
             // predicate, arity) are the client's fault, not the server's.
-            let _ = http::write_response_with(
-                w,
-                422,
-                "application/json",
-                &json_error(&e.to_string()),
-                keep,
-                &id_header,
-            );
-            422
+            write_error(w, 422, &e.to_string(), keep, &id_header)
         }
     }
 }
 
-/// The one read path: parse the pattern and look it up in the
-/// materialised model — the ingest subsystem's resident model with a WAL,
-/// the service's once-built model without one. The `bool` is true when
-/// this read materialised that model. With a WAL the response is built
-/// from the published model version, with no lock held.
-fn answer(ctx: &WorkerCtx, pattern: &str) -> itdb_lrp::Result<(QueryResponse, bool)> {
+/// The one read path: parse the pattern and look it up in the published
+/// model version, with no lock held.
+fn answer(ctx: &WorkerCtx, pattern: &str, request_id: &str) -> itdb_lrp::Result<QueryResponse> {
     let atom = parse_atom(pattern)?;
-    match &ctx.ingest {
-        Some(ingest) => Ok((ingest.with_model(|m| m.answer(&atom))?, false)),
-        None => {
-            let (model, materialised) = ctx.service.model()?;
-            Ok((model.answer(&atom)?, materialised))
-        }
-    }
+    ctx.holder(request_id)?.with_model(|m| m.answer(&atom))
 }
 
-/// `POST /facts`: parse the JSON batch, run it through the WAL-backed
+/// `POST /facts`: parse the JSON batch, run it through the model holder's
 /// ingest pipeline, and answer `202 Accepted` with the applied/duplicate
 /// accounting (or the appropriate rejection).
 fn serve_facts(
@@ -1006,50 +990,29 @@ fn serve_facts(
     request_id: &str,
 ) -> u16 {
     let id_header = [("X-Itdb-Request-Id", request_id)];
-    let Some(ingest) = &ctx.ingest else {
-        let _ = http::write_response_with(
-            w,
-            404,
-            "application/json",
-            &json_error("streaming ingestion is not enabled (start with --wal DIR)"),
-            keep,
-            &id_header,
-        );
-        return 404;
-    };
     let body = match std::str::from_utf8(&req.body) {
         Ok(s) if !s.trim().is_empty() => s,
         _ => {
-            let _ = http::write_response_with(
+            return write_error(
                 w,
                 400,
-                "application/json",
-                &json_error("empty or non-UTF-8 body: POST {\"facts\":[{\"pred\":…,\"tuple\":…}]}"),
+                "empty or non-UTF-8 body: POST {\"facts\":[{\"pred\":…,\"tuple\":…}]}",
                 keep,
                 &id_header,
             );
-            return 400;
         }
     };
     let facts = match parse_facts_body(body) {
         Ok(f) => f,
-        Err(msg) => {
-            let _ = http::write_response_with(
-                w,
-                400,
-                "application/json",
-                &json_error(&msg),
-                keep,
-                &id_header,
-            );
-            return 400;
-        }
+        Err(msg) => return write_error(w, 400, &msg, keep, &id_header),
     };
-    // The request id is the trace context of the batch's maintenance, so
-    // the events it emits carry the id, as for a `/query` materialisation.
+    // The request id is the trace context of the batch's maintenance (and
+    // of a first write's materialisation), so the events carry the id.
     let submitted = {
         let _ctx = itdb_trace::context::set_request_id(request_id);
-        ingest.submit(request_id, facts)
+        ctx.holder(request_id)
+            .map_err(|e| IngestError::Rejected(e.to_string()))
+            .and_then(|ingest| ingest.submit(request_id, facts))
     };
     match submitted {
         Ok(out) => {
@@ -1084,55 +1047,31 @@ fn serve_facts(
         }
         Err(IngestError::Backpressure { retry_after_s }) => {
             let retry = retry_after_s.to_string();
-            let _ = http::write_response_with(
+            write_error(
                 w,
                 503,
-                "application/json",
-                &json_error("ingest queue full, retry later"),
+                "ingest queue full, retry later",
                 keep,
                 &[id_header[0], ("Retry-After", retry.as_str())],
-            );
-            503
+            )
         }
         Err(IngestError::Tripped {
             retry_after_s,
             reason,
         }) => {
             let retry = retry_after_s.to_string();
-            let _ = http::write_response_with(
-                w,
-                503,
-                "application/json",
-                &json_error(&format!(
+            write_error(w, 503, &format!(
                     "batch rolled back: {reason}; the model is unchanged and still serving — retry with a smaller batch or raise the governor limits"
-                )),
-                keep,
-                &[id_header[0], ("Retry-After", retry.as_str())],
-            );
-            503
+                ), keep, &[id_header[0], ("Retry-After", retry.as_str())])
         }
-        Err(IngestError::Rejected(msg)) => {
-            let _ = http::write_response_with(
-                w,
-                422,
-                "application/json",
-                &json_error(&msg),
-                keep,
-                &id_header,
-            );
-            422
-        }
-        Err(IngestError::Wal(msg)) => {
-            let _ = http::write_response_with(
-                w,
-                500,
-                "application/json",
-                &json_error(&format!("WAL append failed: {msg}")),
-                keep,
-                &id_header,
-            );
-            500
-        }
+        Err(IngestError::Rejected(msg)) => write_error(w, 422, &msg, keep, &id_header),
+        Err(IngestError::Wal(msg)) => write_error(
+            w,
+            500,
+            &format!("WAL append failed: {msg}"),
+            keep,
+            &id_header,
+        ),
     }
 }
 

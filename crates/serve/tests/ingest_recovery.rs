@@ -139,12 +139,56 @@ fn deterministic_part(body: &str) -> &str {
 const NEW_COURSE: &str =
     r#"{"facts":[{"pred":"course","tuple":"(168n+30, 168n+32; compilers) : T2 = T1 + 2"}]}"#;
 
+/// Without a WAL the server still accepts `/facts`: the first write
+/// materialises the model, the next read sees the batch, and a retry
+/// under the same request id is answered from the dedup window.
 #[test]
-fn facts_require_ingest_mode() {
+fn facts_apply_without_a_wal() {
     let ts = TestServer::start(ServeConfig::default());
     let resp = post_facts(ts.addr, "req-1", NEW_COURSE);
-    assert_eq!(status_of(&resp), 404);
-    assert!(body_of(&resp).contains("--wal"), "hint names the flag");
+    assert_eq!(status_of(&resp), 202, "{resp}");
+    assert!(body_of(&resp).contains("\"applied\":1"), "{resp}");
+    assert!(body_of(&resp).contains("\"seq\":1"), "{resp}");
+    let after = post_query(ts.addr, "problems[t1, t2](C)");
+    assert_eq!(status_of(&after), 200);
+    assert!(body_of(&after).contains("compilers"), "{after}");
+    let retry = post_facts(ts.addr, "req-1", NEW_COURSE);
+    assert_eq!(status_of(&retry), 202);
+    assert!(
+        body_of(&retry).contains("\"duplicate_request\":true"),
+        "{retry}"
+    );
+    assert!(body_of(&retry).contains("\"seq\":null"), "{retry}");
+}
+
+/// A model whose materialisation tripped the server's fuel is partial:
+/// it refuses writes with 422 and keeps serving its reads `interrupted`.
+#[test]
+fn tripped_model_without_a_wal_refuses_facts() {
+    let diverging = "tuple seed (n) : T1 = 0\n\
+                     rule p[t] <- seed[t].\n\
+                     rule p[t + 1] <- p[t].\n";
+    let mut config = ServeConfig::default();
+    config.defaults.fuel = Some(3);
+    let ts = TestServer::start_with(diverging, config);
+    let before = post_query(ts.addr, "p[t]");
+    assert!(
+        body_of(&before).contains("\"status\":\"interrupted\""),
+        "{before}"
+    );
+    let resp = post_facts(
+        ts.addr,
+        "req-1",
+        r#"{"facts":[{"pred":"seed","tuple":"(n) : T1 = 5"}]}"#,
+    );
+    assert_eq!(status_of(&resp), 422, "{resp}");
+    assert!(body_of(&resp).contains("partial model"), "{resp}");
+    let after = post_query(ts.addr, "p[t]");
+    assert_eq!(
+        deterministic_part(body_of(&after)),
+        deterministic_part(body_of(&before)),
+        "the refused batch left the model as it was"
+    );
 }
 
 /// Subscribes to `/events`, runs `act`, and collects the streamed event

@@ -2,9 +2,10 @@
 //! and its answer must equal the per-request-evaluation oracle
 //! (`Service::run_query`) byte for byte, up to the `,"stats":` field.
 //!
-//! Covered: every predicate of the convergent CI workload, without a WAL
-//! (the model the first read materialises) and with one (the ingest
-//! subsystem's resident model); the diverging CI workload at the default
+//! Covered: every predicate of the convergent CI workload in the one
+//! model holder, without a WAL (the model the first read materialises,
+//! `Ingest::in_memory`) and with one (the model `Ingest::open` recovers
+//! at boot); the diverging CI workload at the default
 //! budget (`diverged`) and under a starved server budget (`interrupted`,
 //! with a non-empty sound partial model); and, over real sockets, eight
 //! concurrent first reads racing the materialisation against sequential
@@ -92,17 +93,27 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The holder a server without a WAL builds on its first read, and the
+/// lookup-vs-oracle status of every pattern in it.
+fn in_memory_status(text: &str, defaults: ServiceDefaults, extra: &[&str]) -> QueryStatus {
+    let service = Service::new(workload(text), defaults);
+    let ingest = Ingest::in_memory(&service).unwrap();
+    ingest.with_model(|model| assert_matches_oracle(model, &service, extra))
+}
+
 #[test]
 fn convergent_lookups_match_per_request_evaluation_without_a_wal() {
     let service = Service::new(workload(CONVERGENT), ServiceDefaults::default());
-    let (model, materialised) = service.model().unwrap();
-    assert!(materialised);
-    let status = assert_matches_oracle(model, &service, &["problems[t, t + 2](database)"]);
+    let ingest = Ingest::in_memory(&service).unwrap();
+    assert!(service.totals().stats.tuples_derived > 0, "stats folded");
+    let status = ingest.with_model(|model| {
+        assert!(
+            patterns(model).len() >= 2,
+            "course and problems both covered"
+        );
+        assert_matches_oracle(model, &service, &["problems[t, t + 2](database)"])
+    });
     assert_eq!(status, QueryStatus::Complete);
-    assert!(
-        patterns(model).len() >= 2,
-        "course and problems both covered"
-    );
 }
 
 #[test]
@@ -120,10 +131,8 @@ fn convergent_lookups_match_per_request_evaluation_with_a_wal() {
 
 #[test]
 fn diverging_workload_answers_diverged_at_the_default_budget() {
-    let service = Service::new(workload(DIVERGING), ServiceDefaults::default());
-    let (model, _) = service.model().unwrap();
     assert_eq!(
-        assert_matches_oracle(model, &service, &[]),
+        in_memory_status(DIVERGING, ServiceDefaults::default(), &[]),
         QueryStatus::Diverged
     );
 }
@@ -134,11 +143,12 @@ fn starved_server_budget_answers_interrupted_with_a_partial_model() {
         fuel: Some(3),
         timeout: None,
     };
-    let service = Service::new(workload(DIVERGING), starved);
-    let (model, _) = service.model().unwrap();
-    let status = assert_matches_oracle(model, &service, &[]);
+    let status = in_memory_status(DIVERGING, starved.clone(), &[]);
     assert!(matches!(status, QueryStatus::Interrupted(_)), "{status:?}");
-    let p = model.answer(&parse_atom("p[t]").unwrap()).unwrap();
+    let service = Service::new(workload(DIVERGING), starved);
+    let p = Ingest::in_memory(&service)
+        .unwrap()
+        .with_model(|model| model.answer(&parse_atom("p[t]").unwrap()).unwrap());
     assert!(
         !p.answers.is_empty(),
         "a trip still answers the sound partial model"
